@@ -162,7 +162,17 @@ def main(argv: list[str] | None = None) -> int:
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
-    return args.func(args)
+    # Exact results can run past the interpreter's int -> str digit limit
+    # (4300 by default); lift it for this call only, since every number
+    # is printed in full.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return args.func(args)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return args.func(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

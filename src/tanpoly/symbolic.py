@@ -284,9 +284,13 @@ _ONE_PLUS_Y2 = YPoly({0: 1, 2: 1})
 
 @lru_cache(maxsize=None)
 def _one_plus_y2_pow(j: int) -> YPoly:
-    if j == 0:
-        return YPoly.one()
-    return _one_plus_y2_pow(j - 1) * _ONE_PLUS_Y2
+    """(1 + y^2)^j, built term by term with the exact step C(j, k+1) = C(j, k)(j-k)/(k+1)."""
+    coef: dict[int, int] = {}
+    c = 1
+    for k in range(j + 1):
+        coef[2 * k] = c
+        c = c * (j - k) // (k + 1)
+    return YPoly(coef)
 
 
 @dataclass(frozen=True)

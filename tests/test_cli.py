@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import sys
 
 import pytest
 
@@ -17,6 +19,21 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def full_str(value: object) -> str:
+    """str(value) with the interpreter's int -> str digit limit lifted."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestTriangleCommand:
@@ -134,6 +151,20 @@ class TestPolyCommand:
         code, _, _ = run_cli(capsys, "poly", "--family", "Q", "--n", "-1")
         assert code == 2
 
+    def test_r_family_past_recursion_limit(self, capsys):
+        # R_n has degree 2n - 1 with leading coefficient sum_k C(n, 2k+1) = 2^(n-1)
+        code, out, _ = run_cli(capsys, "poly", "--family", "R", "--n", "1000", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[-1] == f"1999,{2**999}"
+
+    def test_p_family_past_digit_limit(self, capsys):
+        # P_n has leading term n! y^(n+1); 2000! has 5736 digits
+        limit = digit_limit()
+        code, out, _ = run_cli(capsys, "poly", "--family", "P", "--n", "2000", "--format", "csv")
+        assert code == 0
+        assert digit_limit() == limit
+        assert out.splitlines()[-1] == f"2001,{full_str(math.factorial(2000))}"
+
     def test_bfile_not_a_poly_format(self, capsys):
         code, _, _ = run_cli(capsys, "poly", "--family", "R", "--n", "2", "--format", "bfile")
         assert code == 2
@@ -159,6 +190,13 @@ class TestTanCommand:
         code, out, _ = run_cli(capsys, "tan", "--n", "2", "--t", "1/2")
         assert code == 0
         assert out == "beeler: 4/3\naddition: 4/3\ngaussian: 4/3\nagree: yes\n"
+
+    def test_value_past_digit_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "tan", "--n", "6000", "--t", "3/7")
+        assert code == 0
+        expected = full_str(multiangle.tan_gaussian(6000, Rational(3, 7)))
+        assert len(expected) > 4300
+        assert out == "".join(f"{name}: {expected}\n" for name in multiangle.METHODS) + "agree: yes\n"
 
     def test_malformed_t_exits_2(self, capsys):
         for bad in ("abc", "1/0", "1.5"):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,12 +13,14 @@ from tanpoly.multiangle import (
     DEFAULT_GRID,
     POLE,
     TanValue,
+    _alternating_sums,
     tan_addition,
     tan_beeler,
     tan_float_check,
     tan_gaussian,
     verify_triple_agreement,
 )
+from tanpoly.triangles import r_coef, t_coef
 
 small_rationals = st.builds(Rational, st.integers(-9, 9), st.integers(1, 9))
 
@@ -54,6 +58,35 @@ class TestBeelerRoute:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             tan_beeler(-1, Rational(1))
+
+
+class TestIntegerSums:
+    def test_sums_are_the_scaled_triangle_sums(self):
+        # the paper's form: sum (-1)^k R(n,k) t^(2k+1) over sum (-1)^k T(n,k) t^(2k), times b^n
+        for n in range(81):
+            for t in DEFAULT_GRID:
+                a, b = t.num, t.den
+                num = sum(
+                    (-1) ** k * r_coef(n, k) * a ** (2 * k + 1) * b ** (n - 2 * k - 1)
+                    for k in range((n - 1) // 2 + 1)
+                )
+                den = sum(
+                    (-1) ** k * t_coef(n, k) * a ** (2 * k) * b ** (n - 2 * k)
+                    for k in range(n // 2 + 1)
+                )
+                assert _alternating_sums(n, t) == (num, den)
+
+    @given(st.integers(0, 400), st.builds(Rational, st.integers(-30, 30), st.integers(1, 30)))
+    def test_matches_gaussian_route(self, n, t):
+        assert tan_beeler(n, t) == tan_gaussian(n, t)
+
+    def test_large_n_is_fast_and_exact(self):
+        t = Rational(29, 30)
+        start = time.perf_counter()
+        value = tan_beeler(5000, t)
+        elapsed = time.perf_counter() - start
+        assert value == tan_gaussian(5000, t)
+        assert elapsed < 1.0
 
 
 class TestAdditionRoute:
@@ -125,6 +158,10 @@ class TestFloatBridge:
 
     def test_not_applicable_at_pole(self):
         assert tan_float_check(2, Rational(1)) is None
+
+    @pytest.mark.parametrize("n", [600, 1000])
+    def test_not_applicable_past_double_range(self, n):
+        assert tan_float_check(n, Rational(7, 2)) is None
 
     def test_n_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,8 @@ digits of precision. The sympy route shares no code with the package.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from tanpoly.symbolic import (
     YPoly,
     YZPoly,
     _exact_div,
+    _one_plus_y2_pow,
     apply_dz,
     diff,
     dz_iter,
@@ -274,6 +277,12 @@ class TestRTFamilies:
         if n % 2 == 0:
             rhs = rhs * sec0
         assert close_enough(lhs, rhs)
+
+    def test_one_plus_y2_pow_is_the_binomial_row(self):
+        # deep enough that a recursive build would pass the interpreter's stack limit
+        j = 1500
+        assert _one_plus_y2_pow(j).terms() == [(2 * k, math.comb(j, k)) for k in range(j + 1)]
+        assert _one_plus_y2_pow(j) is _one_plus_y2_pow(j)
 
     def test_exact_division_guard(self):
         with pytest.raises(InternalInconsistencyError):
