@@ -35,6 +35,8 @@ from .symbolic import (
     reduced_diff,
     t_poly_closed,
     t_poly_dz,
+    tilde_r_row,
+    tilde_t_row,
     verify_closed_forms,
     verify_hoffman,
     verify_operator_expansion,
@@ -51,8 +53,6 @@ from .triangles import (
     r_row,
     t_coef,
     t_row,
-    tilde_r_row,
-    tilde_t_row,
     verify_rec_vs_closed,
     verify_rt_recurrences,
 )

@@ -26,8 +26,8 @@ _TRIANGLES = {
     "T": (triangles.t_row, 0, None),
     "M": (triangles.m_row, 0, 60),
     "N": (triangles.n_row, 0, 60),
-    "Rtilde": (triangles.tilde_r_row, 1, None),
-    "Ttilde": (triangles.tilde_t_row, 1, None),
+    "Rtilde": (symbolic.tilde_r_row, 1, None),
+    "Ttilde": (symbolic.tilde_t_row, 1, None),
 }
 
 _FAMILIES = {

@@ -11,11 +11,18 @@ polynomial families:
     R_n, T_n   factorial-normalized reductions of the iterated weighted
                operator applied to z and to y
 
+The rows of the Rtilde and Ttilde triangles are read off R_n and T_n
+here (tilde_r_row, tilde_t_row).
+
 YZPoly is a sparse integer polynomial in the commuting variables y and z;
-YPoly is the same in y alone. ReducedPair (f, g) is the canonical
-representative f(y) + z*g(y) of a YZPoly in the quotient ring
-Z[y, z]/(z^2 - 1 - y^2). All values are immutable and functions are pure;
-nothing here uses floating point.
+YPoly is the same in y alone. Both share one ring implementation and differ
+only in the monomial key, the product, evaluation and rendering.
+ReducedPair (f, g) is the canonical representative f(y) + z*g(y) of a
+YZPoly in the quotient ring Z[y, z]/(z^2 - 1 - y^2). P_n and Q_n are built
+by the derivation on such pairs and R_n, T_n by adding binomial multiples
+of (1 + y^2)^j straight into one coefficient dict, so neither route shares
+the z-side derivation or reduction it is checked against. All values are
+immutable and functions are pure; nothing here uses floating point.
 
 Canonical monomial order for iteration, display, and serialization:
 ascending y-exponent, then ascending z-exponent.
@@ -36,83 +43,61 @@ class InternalInconsistencyError(Exception):
     """An exact structural identity failed; results would be wrong, so abort."""
 
 
-class YPoly:
-    """Sparse integer polynomial in y; zero coefficients are never stored."""
+class _SparsePoly:
+    """Ring code shared by YPoly and YZPoly: a dict from monomial key to a
+    nonzero integer coefficient. A subclass supplies the key (its unit key
+    and lowest exponent), the polynomial product of two coefficient dicts,
+    and the monomial renderer.
+    """
 
     __slots__ = ("_coef",)
 
-    def __init__(self, coef: Mapping[int, int] | None = None):
-        cleaned: dict[int, int] = {}
-        if coef:
-            for a, c in coef.items():
-                if a < 0:
-                    raise ValueError("negative exponent")
-                if c:
-                    cleaned[a] = c
-        self._coef = cleaned
+    def __init__(self, coef: Mapping | None = None):
+        if coef and self._lowest_exponent(coef) < 0:
+            raise ValueError("negative exponent")
+        self._coef = {key: c for key, c in coef.items() if c} if coef else {}
 
     @classmethod
-    def zero(cls) -> YPoly:
+    def zero(cls):
         return cls()
 
     @classmethod
-    def one(cls) -> YPoly:
-        return cls({0: 1})
+    def one(cls):
+        return cls({cls._UNIT: 1})
 
-    @classmethod
-    def y(cls) -> YPoly:
-        return cls({1: 1})
-
-    def coefficient(self, a: int) -> int:
-        return self._coef.get(a, 0)
-
-    def terms(self) -> list[tuple[int, int]]:
-        """(exponent, coefficient) pairs in canonical order."""
+    def terms(self) -> list:
+        """(key, coefficient) pairs in canonical order."""
         return sorted(self._coef.items())
 
-    def derivative(self) -> YPoly:
-        return YPoly({a - 1: a * c for a, c in self._coef.items() if a})
-
-    def __call__(self, value):
-        """Evaluate at any value supporting + and * (exact or symbolic)."""
-        result = 0
-        for a, c in self.terms():
-            result = result + c * value**a
-        return result
-
-    def __add__(self, other: YPoly) -> YPoly:
-        if not isinstance(other, YPoly):
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
             return NotImplemented
         merged = dict(self._coef)
-        for a, c in other._coef.items():
-            merged[a] = merged.get(a, 0) + c
-        return YPoly(merged)
+        for key, c in other._coef.items():
+            _add(merged, key, c)
+        return type(self)(merged)
 
-    def __neg__(self) -> YPoly:
-        return YPoly({a: -c for a, c in self._coef.items()})
+    def __neg__(self):
+        return type(self)({key: -c for key, c in self._coef.items()})
 
-    def __sub__(self, other: YPoly) -> YPoly:
-        if not isinstance(other, YPoly):
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other: YPoly | int) -> YPoly:
+    def __mul__(self, other):
         if isinstance(other, int):
-            return YPoly({a: c * other for a, c in self._coef.items()})
-        if not isinstance(other, YPoly):
+            return type(self)({key: c * other for key, c in self._coef.items()})
+        if not isinstance(other, type(self)):
             return NotImplemented
-        product: dict[int, int] = {}
-        for a, c in self._coef.items():
-            for a2, c2 in other._coef.items():
-                product[a + a2] = product.get(a + a2, 0) + c * c2
-        return YPoly(product)
+        return type(self)(self._product(other._coef))
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> YPoly:
+    def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative exponent")
-        result = YPoly.one()
+        result = type(self).one()
         base = self
         while n:
             if n & 1:
@@ -122,46 +107,84 @@ class YPoly:
         return result
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, YPoly):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self._coef == other._coef
 
     def __bool__(self) -> bool:
         return bool(self._coef)
 
+    def __str__(self) -> str:
+        terms = self.terms()
+        if not terms:
+            return "0"
+        pieces = []
+        for i, (key, c) in enumerate(terms):
+            sign = ("-" if c < 0 else "") if i == 0 else (" - " if c < 0 else " + ")
+            body = self._monomial(key)
+            mag = abs(c)
+            if not body:
+                body = str(mag)
+            elif mag != 1:
+                body = f"{mag}{body}"
+            pieces.append(sign + body)
+        return "".join(pieces)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.terms())!r})"
+
+
+class YPoly(_SparsePoly):
+    """Sparse integer polynomial in y, keyed by the y-exponent."""
+
+    __slots__ = ()
+    _UNIT = 0
+
+    @staticmethod
+    def _lowest_exponent(keys) -> int:
+        return min(keys)
+
+    @classmethod
+    def y(cls) -> YPoly:
+        return cls({1: 1})
+
+    def coefficient(self, a: int) -> int:
+        return self._coef.get(a, 0)
+
+    def __call__(self, value):
+        """Evaluate at any value supporting + and * (exact or symbolic)."""
+        result = 0
+        for a, c in self.terms():
+            result = result + c * value**a
+        return result
+
+    def _product(self, other: dict[int, int]) -> dict[int, int]:
+        product: dict[int, int] = {}
+        for a, c in self._coef.items():
+            for a2, c2 in other.items():
+                _add(product, a + a2, c * c2)
+        return product
+
     def serialize(self) -> list[list]:
         """[[exponent, coefficient-as-decimal-string], ...] in canonical order."""
         return [[a, str(c)] for a, c in self.terms()]
 
-    def __str__(self) -> str:
-        return _render(self.terms(), _y_monomial)
+    @staticmethod
+    def _monomial(a: int) -> str:
+        if a == 0:
+            return ""
+        return "y" if a == 1 else f"y^{a}"
 
-    def __repr__(self) -> str:
-        return f"YPoly({dict(self.terms())!r})"
 
+class YZPoly(_SparsePoly):
+    """Sparse integer polynomial in commuting y and z, keyed by (y-exp, z-exp)."""
 
-class YZPoly:
-    """Sparse integer polynomial in commuting y and z."""
+    __slots__ = ()
+    _UNIT = (0, 0)
 
-    __slots__ = ("_coef",)
-
-    def __init__(self, coef: Mapping[tuple[int, int], int] | None = None):
-        cleaned: dict[tuple[int, int], int] = {}
-        if coef:
-            for (a, b), c in coef.items():
-                if a < 0 or b < 0:
-                    raise ValueError("negative exponent")
-                if c:
-                    cleaned[(a, b)] = c
-        self._coef = cleaned
-
-    @classmethod
-    def zero(cls) -> YZPoly:
-        return cls()
-
-    @classmethod
-    def one(cls) -> YZPoly:
-        return cls({(0, 0): 1})
+    @staticmethod
+    def _lowest_exponent(keys) -> int:
+        return min(map(min, keys))
 
     @classmethod
     def y(cls) -> YZPoly:
@@ -171,16 +194,8 @@ class YZPoly:
     def z(cls) -> YZPoly:
         return cls({(0, 1): 1})
 
-    @classmethod
-    def monomial(cls, a: int, b: int, c: int = 1) -> YZPoly:
-        return cls({(a, b): c})
-
     def coefficient(self, a: int, b: int) -> int:
         return self._coef.get((a, b), 0)
-
-    def terms(self) -> list[tuple[tuple[int, int], int]]:
-        """((y-exp, z-exp), coefficient) pairs in canonical order."""
-        return sorted(self._coef.items())
 
     def __call__(self, y_value, z_value):
         """Evaluate at any values supporting + and * (exact or symbolic)."""
@@ -189,97 +204,30 @@ class YZPoly:
             result = result + c * y_value**a * z_value**b
         return result
 
-    def __add__(self, other: YZPoly) -> YZPoly:
-        if not isinstance(other, YZPoly):
-            return NotImplemented
-        merged = dict(self._coef)
-        for key, c in other._coef.items():
-            merged[key] = merged.get(key, 0) + c
-        return YZPoly(merged)
-
-    def __neg__(self) -> YZPoly:
-        return YZPoly({key: -c for key, c in self._coef.items()})
-
-    def __sub__(self, other: YZPoly) -> YZPoly:
-        if not isinstance(other, YZPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: YZPoly | int) -> YZPoly:
-        if isinstance(other, int):
-            return YZPoly({key: c * other for key, c in self._coef.items()})
-        if not isinstance(other, YZPoly):
-            return NotImplemented
+    def _product(self, other: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
         product: dict[tuple[int, int], int] = {}
         for (a, b), c in self._coef.items():
-            for (a2, b2), c2 in other._coef.items():
-                key = (a + a2, b + b2)
-                product[key] = product.get(key, 0) + c * c2
-        return YZPoly(product)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> YZPoly:
-        if n < 0:
-            raise ValueError("negative exponent")
-        result = YZPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, YZPoly):
-            return NotImplemented
-        return self._coef == other._coef
-
-    def __bool__(self) -> bool:
-        return bool(self._coef)
+            for (a2, b2), c2 in other.items():
+                _add(product, (a + a2, b + b2), c * c2)
+        return product
 
     def serialize(self) -> list[list]:
         """[[y-exp, z-exp, coefficient-as-decimal-string], ...] in canonical order."""
         return [[a, b, str(c)] for (a, b), c in self.terms()]
 
-    def __str__(self) -> str:
-        return _render(self.terms(), _yz_monomial)
-
-    def __repr__(self) -> str:
-        return f"YZPoly({dict(self.terms())!r})"
-
-
-def _y_monomial(a: int) -> str:
-    if a == 0:
-        return ""
-    return "y" if a == 1 else f"y^{a}"
+    @staticmethod
+    def _monomial(key: tuple[int, int]) -> str:
+        a, b = key
+        z_part = "" if b == 0 else ("z" if b == 1 else f"z^{b}")
+        return YPoly._monomial(a) + z_part
 
 
-def _yz_monomial(key: tuple[int, int]) -> str:
-    a, b = key
-    z_part = "" if b == 0 else ("z" if b == 1 else f"z^{b}")
-    return _y_monomial(a) + z_part
-
-
-def _render(terms, monomial) -> str:
-    if not terms:
-        return "0"
-    pieces = []
-    for i, (key, c) in enumerate(terms):
-        sign = ("-" if c < 0 else "") if i == 0 else (" - " if c < 0 else " + ")
-        body = monomial(key)
-        mag = abs(c)
-        if not body:
-            body = str(mag)
-        elif mag != 1:
-            body = f"{mag}{body}"
-        pieces.append(sign + body)
-    return "".join(pieces)
-
-
-_Y = YPoly.y()
-_ONE_PLUS_Y2 = YPoly({0: 1, 2: 1})
+def _add(acc: dict, key, c: int) -> None:
+    """acc[key] += c, storing c itself when key is new (adding to 0 copies a big int)."""
+    if key in acc:
+        acc[key] += c
+    else:
+        acc[key] = c
 
 
 @lru_cache(maxsize=None)
@@ -318,11 +266,9 @@ def diff(p: YZPoly) -> YZPoly:
     acc: dict[tuple[int, int], int] = {}
     for (a, b), c in p._coef.items():
         if a:
-            key = (a - 1, b + 2)
-            acc[key] = acc.get(key, 0) + c * a
+            _add(acc, (a - 1, b + 2), c * a)
         if b:
-            key = (a + 1, b)
-            acc[key] = acc.get(key, 0) + c * b
+            _add(acc, (a + 1, b), c * b)
     return YZPoly(acc)
 
 
@@ -352,7 +298,7 @@ def reduce_z(p: YZPoly) -> ReducedPair:
         j, odd = divmod(b, 2)
         target = g if odd else f
         for e, w in _one_plus_y2_pow(j)._coef.items():
-            target[a + e] = target.get(a + e, 0) + c * w
+            _add(target, a + e, c * w)
     return ReducedPair(YPoly(f), YPoly(g))
 
 
@@ -361,30 +307,45 @@ def reduced_diff(pair: ReducedPair) -> ReducedPair:
 
     (f, g) -> ((1 + y^2) f', y g + (1 + y^2) g'); this commutes with
     reduce_z because diff(z^2) = 2yz^2 = diff(1 + y^2) in the quotient.
+    On c*y^a, f gives a*c at y^(a-1) and y^(a+1); g gives a*c at y^(a-1)
+    and (a+1)*c at y^(a+1).
     """
-    new_f = _ONE_PLUS_Y2 * pair.f.derivative()
-    new_g = _Y * pair.g + _ONE_PLUS_Y2 * pair.g.derivative()
-    return ReducedPair(new_f, new_g)
+    f: dict[int, int] = {}
+    for a, c in pair.f._coef.items():
+        if a:
+            ac = a * c
+            _add(f, a - 1, ac)
+            _add(f, a + 1, ac)
+    g: dict[int, int] = {}
+    for a, c in pair.g._coef.items():
+        if a:
+            _add(g, a - 1, a * c)
+        _add(g, a + 1, (a + 1) * c)
+    return ReducedPair(YPoly(f), YPoly(g))
+
+
+def _reduced_diff_iter(n: int, pair: ReducedPair) -> ReducedPair:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    for _ in range(n):
+        pair = reduced_diff(pair)
+    return pair
 
 
 def hoffman_p(n: int) -> YPoly:
-    """Derivative polynomial of the tangent: P_0 = y, P_{k+1} = (1+y^2) P_k'."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    p = YPoly.y()
-    for _ in range(n):
-        p = _ONE_PLUS_Y2 * p.derivative()
-    return p
+    """Derivative polynomial of the tangent: P_0 = y, P_{k+1} = (1+y^2) P_k'.
+
+    The f part of reduced_diff iterated n times from (y, 0).
+    """
+    return _reduced_diff_iter(n, ReducedPair(YPoly.y(), YPoly.zero())).f
 
 
 def hoffman_q(n: int) -> YPoly:
-    """Derivative polynomial of the secant: Q_0 = 1, Q_{k+1} = (1+y^2) Q_k' + y Q_k."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    q = YPoly.one()
-    for _ in range(n):
-        q = _ONE_PLUS_Y2 * q.derivative() + _Y * q
-    return q
+    """Derivative polynomial of the secant: Q_0 = 1, Q_{k+1} = (1+y^2) Q_k' + y Q_k.
+
+    The g part of reduced_diff iterated n times from (0, 1).
+    """
+    return _reduced_diff_iter(n, ReducedPair(YPoly.zero(), YPoly.one())).g
 
 
 def r_poly_closed(n: int) -> YPoly:
@@ -393,12 +354,7 @@ def r_poly_closed(n: int) -> YPoly:
     R_n(y) = sum over k <= floor((n-1)/2) of
              C(n, 2k+1) * y^(n-2k-1) * (1 + y^2)^(floor(n/2) + k).
     """
-    if n < 1:
-        raise ValueError("family is defined for n >= 1")
-    acc = YPoly.zero()
-    for k in range((n - 1) // 2 + 1):
-        acc = acc + _one_plus_y2_pow(n // 2 + k) * YPoly({n - 2 * k - 1: r_coef(n, k)})
-    return acc
+    return _binomial_closed_form(n, r_coef, 1)
 
 
 def t_poly_closed(n: int) -> YPoly:
@@ -407,12 +363,55 @@ def t_poly_closed(n: int) -> YPoly:
     T_n(y) = sum over k <= floor(n/2) of
              C(n, 2k) * y^(n-2k) * (1 + y^2)^(floor((n-1)/2) + k).
     """
+    return _binomial_closed_form(n, t_coef, 0)
+
+
+def _binomial_closed_form(n: int, coef, odd: int) -> YPoly:
+    """Sum over k <= floor((n-odd)/2) of
+    coef(n, k) * y^(n-2k-odd) * (1 + y^2)^(floor((n-1+odd)/2) + k),
+    with coef(n, k) = C(n, 2k+odd), added term by term into one dict.
+    """
     if n < 1:
         raise ValueError("family is defined for n >= 1")
-    acc = YPoly.zero()
-    for k in range(n // 2 + 1):
-        acc = acc + _one_plus_y2_pow((n - 1) // 2 + k) * YPoly({n - 2 * k: t_coef(n, k)})
-    return acc
+    acc: dict[int, int] = {}
+    for k in range((n - odd) // 2 + 1):
+        c = coef(n, k)
+        a = n - 2 * k - odd
+        for e, w in _one_plus_y2_pow((n - 1 + odd) // 2 + k)._coef.items():
+            _add(acc, a + e, c * w)
+    return YPoly(acc)
+
+
+def tilde_r_row(n: int) -> list[int]:
+    """Row n >= 1 of the Rtilde triangle: coefficients of y^0, y^2, ..., y^(2n-2).
+
+    The source polynomial is the even-index T family for even n and the
+    odd-index R family for odd n; rows 1..5 reproduce A056242.
+    """
+    if n < 1:
+        raise ValueError("rows are defined for n >= 1")
+    poly = t_poly_closed(n) if n % 2 == 0 else r_poly_closed(n)
+    return _strided_coefficients(poly, first_exp=0, count=n)
+
+
+def tilde_t_row(n: int) -> list[int]:
+    """Row n >= 1 of the Ttilde triangle: coefficients of y^1, y^3, ..., y^(2n-1).
+
+    The source polynomial is the even-index R family for even n and the
+    odd-index T family for odd n; rows 1..5 reproduce A210753.
+    """
+    if n < 1:
+        raise ValueError("rows are defined for n >= 1")
+    poly = r_poly_closed(n) if n % 2 == 0 else t_poly_closed(n)
+    return _strided_coefficients(poly, first_exp=1, count=n)
+
+
+def _strided_coefficients(poly: YPoly, first_exp: int, count: int) -> list[int]:
+    wanted = range(first_exp, first_exp + 2 * count, 2)
+    stray = sorted(set(poly._coef) - set(wanted))
+    if stray:
+        raise InternalInconsistencyError(f"source polynomial has unexpected exponents {stray}")
+    return [poly.coefficient(exp) for exp in wanted]
 
 
 def r_poly_dz(n: int) -> YPoly:

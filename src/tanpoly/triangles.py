@@ -5,10 +5,10 @@ odd- and even-column halves of Pascal's triangle (A034867 and A034839).
 Two factorial-scaled families M and N, the coefficients of the iterated
 operator p -> d/dx(sec(x) * p) expanded over tan and sec monomials; they
 are computed from their two-term recurrences and, independently, from the
-closed forms n! * C(n+1, 2k+1) and n! * C(n+1, 2k). Two reduced families
-Rtilde and Ttilde whose rows collect the coefficients of the reduced
-polynomial families (A056242 and A210753); those rows are extracted from
-the symbolic module rather than tabulated here.
+closed forms n! * C(n+1, 2k+1) and n! * C(n+1, 2k). The two reduced
+families Rtilde and Ttilde (A056242 and A210753) collect the coefficients
+of the reduced polynomial families, so their rows live in the symbolic
+module, which builds on this one; this module imports nothing from it.
 
 Every accessor returns 0 outside its family's index range, which makes the
 recurrences total. Row caches hold immutable tuples and are safe for
@@ -53,47 +53,39 @@ def t_row(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _m_row(n: int) -> tuple[int, ...]:
+def _mn_row(n: int, s: int) -> tuple[int, ...]:
+    """Row n of M (s = 0) or N (s = 1), of length floor((n+s)/2) + 1, from
+    X(m+1, k) = (m+2k+2-s) X(m, k) + (m-2k+2+s) X(m, k-1).
+
+    The rows below n are fetched in ascending order first, so each is built
+    from a cached predecessor and the stack stays shallow for any n.
+    """
     if n == 0:
         return (1,)
-    prev = _m_row(n - 1)
+    for below in range(1, n):
+        _mn_row(below, s)
+    prev = _mn_row(n - 1, s)
     m = n - 1
-
-    def entry(k: int) -> int:
-        left = prev[k] if k < len(prev) else 0
-        right = prev[k - 1] if 1 <= k <= len(prev) else 0
-        return (m + 2 * k + 2) * left + (m - 2 * k + 2) * right
-
-    return tuple(entry(k) for k in range(n // 2 + 1))
-
-
-@lru_cache(maxsize=None)
-def _n_row(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _n_row(n - 1)
-    m = n - 1
-
-    def entry(k: int) -> int:
-        left = prev[k] if k < len(prev) else 0
-        right = prev[k - 1] if 1 <= k <= len(prev) else 0
-        return (m + 2 * k + 1) * left + (m - 2 * k + 3) * right
-
-    return tuple(entry(k) for k in range((n + 1) // 2 + 1))
+    size = len(prev)
+    return tuple(
+        (m + 2 * k + 2 - s) * (prev[k] if k < size else 0)
+        + (m - 2 * k + 2 + s) * (prev[k - 1] if 1 <= k <= size else 0)
+        for k in range((n + s) // 2 + 1)
+    )
 
 
 def m_row(n: int) -> list[int]:
     """Row n of the M triangle by recurrence: k = 0 .. floor(n/2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return list(_m_row(n))
+    return list(_mn_row(n, 0))
 
 
 def n_row(n: int) -> list[int]:
     """Row n of the N triangle by recurrence: k = 0 .. floor((n+1)/2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return list(_n_row(n))
+    return list(_mn_row(n, 1))
 
 
 def m_rec(n: int, k: int) -> int:
@@ -102,7 +94,7 @@ def m_rec(n: int, k: int) -> int:
         raise ValueError("n must be nonnegative")
     if k < 0 or k > n // 2:
         return 0
-    return _m_row(n)[k]
+    return _mn_row(n, 0)[k]
 
 
 def n_rec(n: int, k: int) -> int:
@@ -111,7 +103,7 @@ def n_rec(n: int, k: int) -> int:
         raise ValueError("n must be nonnegative")
     if k < 0 or k > (n + 1) // 2:
         return 0
-    return _n_row(n)[k]
+    return _mn_row(n, 1)[k]
 
 
 def m_closed(n: int, k: int) -> int:
@@ -126,48 +118,6 @@ def n_closed(n: int, k: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return math.factorial(n) * binom(n + 1, 2 * k)
-
-
-def tilde_r_row(n: int) -> list[int]:
-    """Row n >= 1 of the Rtilde triangle: coefficients of y^0, y^2, ..., y^(2n-2).
-
-    The source polynomial is the even-index T family for even n and the
-    odd-index R family for odd n; rows 1..5 reproduce A056242.
-    """
-    if n < 1:
-        raise ValueError("rows are defined for n >= 1")
-    # Function-level import: symbolic imports this module at load time.
-    from . import symbolic
-
-    poly = symbolic.t_poly_closed(n) if n % 2 == 0 else symbolic.r_poly_closed(n)
-    return _strided_coefficients(poly, first_exp=0, count=n)
-
-
-def tilde_t_row(n: int) -> list[int]:
-    """Row n >= 1 of the Ttilde triangle: coefficients of y^1, y^3, ..., y^(2n-1).
-
-    The source polynomial is the even-index R family for even n and the
-    odd-index T family for odd n; rows 1..5 reproduce A210753.
-    """
-    if n < 1:
-        raise ValueError("rows are defined for n >= 1")
-    from . import symbolic
-
-    poly = symbolic.r_poly_closed(n) if n % 2 == 0 else symbolic.t_poly_closed(n)
-    return _strided_coefficients(poly, first_exp=1, count=n)
-
-
-def _strided_coefficients(poly, first_exp: int, count: int) -> list[int]:
-    from .symbolic import InternalInconsistencyError
-
-    wanted = range(first_exp, first_exp + 2 * count, 2)
-    coef = dict(poly.terms())
-    stray = sorted(set(coef) - set(wanted))
-    if stray:
-        raise InternalInconsistencyError(
-            f"source polynomial has unexpected exponents {stray}"
-        )
-    return [coef.get(exp, 0) for exp in wanted]
 
 
 def verify_rt_recurrences(max_n: int) -> VerifyReport:

@@ -44,12 +44,12 @@ def verify_tables(max_n: int = 5) -> VerifyReport:
     checked = 0
     for n in range(1, rows + 1):
         checked += 1
-        got = triangles.tilde_r_row(n)
+        got = symbolic.tilde_r_row(n)
         want = list(RTILDE_GOLDEN[n - 1])
         if got != want:
             failures.append(failure(family="Rtilde", n=n, got=got, want=want))
         checked += 1
-        got = triangles.tilde_t_row(n)
+        got = symbolic.tilde_t_row(n)
         want = list(TTILDE_GOLDEN[n - 1])
         if got != want:
             failures.append(failure(family="Ttilde", n=n, got=got, want=want))

@@ -28,6 +28,8 @@ from tanpoly.symbolic import (
     reduced_diff,
     t_poly_closed,
     t_poly_dz,
+    tilde_r_row,
+    tilde_t_row,
 )
 from tanpoly.triangles import (
     binom,
@@ -41,8 +43,6 @@ from tanpoly.triangles import (
     r_row,
     t_coef,
     t_row,
-    tilde_r_row,
-    tilde_t_row,
 )
 
 GOLDEN_RTILDE = [[1], [1, 2], [1, 5, 4], [1, 9, 16, 8], [1, 14, 41, 44, 16]]

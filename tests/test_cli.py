@@ -12,7 +12,8 @@ from tanpoly import cli, multiangle, verify
 from tanpoly.exact import Rational
 from tanpoly.multiangle import TanValue
 from tanpoly.report import VerifyReport
-from tanpoly.triangles import m_row, n_row, r_row, t_row, tilde_r_row, tilde_t_row
+from tanpoly.symbolic import tilde_r_row, tilde_t_row
+from tanpoly.triangles import m_row, n_row, r_row, t_row
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:

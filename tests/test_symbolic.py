@@ -84,6 +84,24 @@ def calculus_weighted_iterate(n: int, seed: sympy.Expr) -> sympy.Expr:
     return f
 
 
+def euler_zigzag(n_max: int) -> list[int]:
+    """E_0 .. E_n_max (A000111) by Seidel's boustrophedon: each row starts at
+    0 and adds the previous row read backwards; E_n ends row n."""
+    row = [1]
+    numbers = [1]
+    for _ in range(n_max):
+        new = [0]
+        for v in reversed(row):
+            new.append(new[-1] + v)
+        row = new
+        numbers.append(row[-1])
+    return numbers
+
+
+def z_free(f: YPoly) -> YZPoly:
+    return ReducedPair(f, YPoly.zero()).embed()
+
+
 def close_enough(a: sympy.Expr, b: sympy.Expr) -> bool:
     return sympy.Abs((a - b).evalf(50)) < TOL
 
@@ -120,6 +138,13 @@ class TestPolyBasics:
     def test_terms_sorted(self):
         p = YZPoly({(1, 2): 1, (0, 3): 1, (1, 0): 1})
         assert [key for key, _ in p.terms()] == [(0, 3), (1, 0), (1, 2)]
+
+    @given(y_polys, y_polys, st.integers(0, 4))
+    def test_y_ring_matches_z_free_embedding(self, f, g, k):
+        assert z_free(f * g) == z_free(f) * z_free(g)
+        assert z_free(f + g) == z_free(f) + z_free(g)
+        assert z_free(f - g) == z_free(f) - z_free(g)
+        assert z_free(f**k) == z_free(f) ** k
 
     def test_evaluation(self):
         p = YPoly({0: 1, 2: 2})
@@ -222,6 +247,15 @@ class TestHoffmanFamilies:
             dz = diff(dz)
         assert reduce_z(dy) == ReducedPair(hoffman_p(n), YPoly.zero())
         assert reduce_z(dz) == ReducedPair(YPoly.zero(), hoffman_q(n))
+
+    @pytest.mark.parametrize("n", [*range(61), 400])
+    def test_zigzag_values_and_leading_coefficient(self, n):
+        zigzag = euler_zigzag(n)[n]
+        p, q = hoffman_p(n), hoffman_q(n)
+        assert p.coefficient(0) == (zigzag if n % 2 else 0)
+        assert q.coefficient(0) == (0 if n % 2 else zigzag)
+        assert p.terms()[-1] == (n + 1, math.factorial(n))
+        assert q.terms()[-1] == (n, math.factorial(n))
 
     @pytest.mark.parametrize("n", range(9))
     def test_against_calculus(self, n):

@@ -11,6 +11,7 @@ import math
 import pytest
 
 from tanpoly import symbolic, triangles
+from tanpoly.symbolic import tilde_r_row, tilde_t_row
 from tanpoly.triangles import (
     binom,
     m_closed,
@@ -23,8 +24,6 @@ from tanpoly.triangles import (
     r_row,
     t_coef,
     t_row,
-    tilde_r_row,
-    tilde_t_row,
     verify_rec_vs_closed,
     verify_rt_recurrences,
 )
@@ -121,6 +120,16 @@ class TestMN:
         for n in range(1, 20):
             assert sum(m_row(n)) == math.factorial(n) * 2**n
 
+    def test_deep_rows_from_cold_cache(self):
+        # one stack frame per row would pass the interpreter's recursion limit here
+        n = 600
+        triangles._mn_row.cache_clear()
+        assert m_row(n) == [m_closed(n, k) for k in range(n // 2 + 1)]
+        triangles._mn_row.cache_clear()
+        assert n_row(n) == [n_closed(n, k) for k in range((n + 1) // 2 + 1)]
+        triangles._mn_row.cache_clear()
+        assert m_rec(n, 0) == m_closed(n, 0)
+
     def test_even_row_edge_is_factorial(self):
         for m in range(13):
             assert m_rec(2 * m, m) == math.factorial(2 * m)
@@ -178,4 +187,4 @@ class TestTildeRows:
 
     def test_strided_extraction_rejects_stray_exponents(self):
         with pytest.raises(symbolic.InternalInconsistencyError):
-            triangles._strided_coefficients(symbolic.YPoly({0: 1, 1: 1}), 0, 2)
+            symbolic._strided_coefficients(symbolic.YPoly({0: 1, 1: 1}), 0, 2)
