@@ -2,34 +2,37 @@
 
 Integer coefficients throughout the package are plain Python ints, which
 are arbitrary precision already. This module adds the two value types the
-multiple-angle evaluator needs: Rational, a fraction kept in lowest terms
-with positive denominator, and GaussianInt, an exact complex integer.
+multiple-angle evaluator needs. Rational is a fractions.Fraction that only
+accepts int numerator and denominator, so a float, string or Decimal can
+never slip in as an approximate tan(x); its arithmetic is Fraction's and
+returns plain Fraction values. GaussianInt, an exact complex integer, is
+kept as a small class of its own: its ring operations are the oracle the
+tests use for powers, and its powering is what tan_gaussian runs.
 Values are immutable after construction and all operations are pure, so
 they are safe to share between threads.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from fractions import Fraction
 
 
-class Rational:
-    """Fraction in lowest terms; den > 0; canonical zero is 0/1.
+class Rational(Fraction):
+    """Fraction built from ints only; den > 0; canonical zero is 0/1.
 
-    Dividing by a zero rational (or constructing one) raises
-    ZeroDivisionError, which callers use for pole detection.
+    A zero denominator raises ZeroDivisionError, which callers use for
+    pole detection.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ()
 
     def __init__(self, num: int, den: int = 1):
-        if den == 0:
-            raise ZeroDivisionError("rational denominator is zero")
-        if den < 0:
-            num, den = -num, -den
-        g = gcd(num, den)
-        self.num = num // g
-        self.den = den // g
+        """Refuse non-int input; Fraction.__new__ has already reduced the value."""
+        if not (isinstance(num, int) and isinstance(den, int)):
+            raise TypeError("Rational takes an int numerator and denominator")
+
+    num = Fraction.numerator
+    den = Fraction.denominator
 
     @classmethod
     def parse(cls, text: str) -> Rational:
@@ -38,75 +41,6 @@ class Rational:
         num = int(num_text)
         den = int(den_text) if slash else 1
         return cls(num, den)
-
-    def __add__(self, other: Rational | int) -> Rational:
-        other = _as_rational(other)
-        if other is None:
-            return NotImplemented
-        return Rational(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Rational:
-        return Rational(-self.num, self.den)
-
-    def __sub__(self, other: Rational | int) -> Rational:
-        other = _as_rational(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: Rational | int) -> Rational:
-        return -(self - other)
-
-    def __mul__(self, other: Rational | int) -> Rational:
-        other = _as_rational(other)
-        if other is None:
-            return NotImplemented
-        return Rational(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Rational | int) -> Rational:
-        other = _as_rational(other)
-        if other is None:
-            return NotImplemented
-        return Rational(self.num * other.den, self.den * other.num)
-
-    def __pow__(self, n: int) -> Rational:
-        if n < 0:
-            raise ValueError("negative exponent")
-        return Rational(self.num**n, self.den**n)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = Rational(other)
-        if not isinstance(other, Rational):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __bool__(self) -> bool:
-        return self.num != 0
-
-    def __float__(self) -> float:
-        return self.num / self.den
-
-    def __str__(self) -> str:
-        return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
-
-    def __repr__(self) -> str:
-        return f"Rational({self.num}, {self.den})"
-
-
-def _as_rational(value: object) -> Rational | None:
-    if isinstance(value, Rational):
-        return value
-    if isinstance(value, int):
-        return Rational(value)
-    return None
 
 
 class GaussianInt:

@@ -18,12 +18,16 @@ real and imaginary parts are exactly the alternating sums above scaled by
 q^n. A pole is a value, not an error: it occurs exactly when the
 denominator sum vanishes. For n = 0 the numerator sum is empty and the
 result is 0.
+
+Every route takes t as any fractions.Fraction or int (Rational arithmetic
+returns plain Fractions) and reads only its numerator and denominator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .exact import GaussianInt, Rational
 from .report import VerifyReport, failure
@@ -33,7 +37,7 @@ from .report import VerifyReport, failure
 class TanValue:
     """A finite rational tangent value, or the pole."""
 
-    value: Rational | None = None
+    value: Fraction | None = None
 
     @property
     def is_pole(self) -> bool:
@@ -60,9 +64,9 @@ DEFAULT_GRID: tuple[Rational, ...] = (
 FLOAT_SKIP_THRESHOLD = 1e-6
 
 
-def _alternating_sums(n: int, t: Rational) -> tuple[int, int]:
+def _alternating_sums(n: int, t: Fraction | int) -> tuple[int, int]:
     """Numerator and denominator sums of the binomial ratio, times b^n for t = a/b."""
-    a, b = t.num, t.den
+    a, b = t.numerator, t.denominator
     num = den = 0
     term = b**n  # C(n, j) * a^j * b^(n-j), starting at j = 0
     for j in range(n + 1):
@@ -75,7 +79,7 @@ def _alternating_sums(n: int, t: Rational) -> tuple[int, int]:
     return num, den
 
 
-def tan_beeler(n: int, t: Rational) -> TanValue:
+def tan_beeler(n: int, t: Fraction | int) -> TanValue:
     """tan(n * arctan(t)) by the alternating binomial ratio."""
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -85,7 +89,7 @@ def tan_beeler(n: int, t: Rational) -> TanValue:
     return TanValue(Rational(num, den))
 
 
-def tan_addition(n: int, t: Rational) -> TanValue:
+def tan_addition(n: int, t: Fraction | int) -> TanValue:
     """tan(n * arctan(t)) by iterating the tangent angle-addition formula.
 
     The running value is a projective pair (p : q) with tan = p/q, updated
@@ -95,7 +99,7 @@ def tan_addition(n: int, t: Rational) -> TanValue:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    a, b = t.num, t.den
+    a, b = t.numerator, t.denominator
     p, q = 0, 1
     for _ in range(n):
         p, q = p * b + a * q, q * b - a * p
@@ -104,7 +108,7 @@ def tan_addition(n: int, t: Rational) -> TanValue:
     return TanValue(Rational(p, q))
 
 
-def tan_gaussian(n: int, t: Rational) -> TanValue:
+def tan_gaussian(n: int, t: Fraction | int) -> TanValue:
     """tan(n * arctan(t)) from the n-th power of q + p*i, for t = p/q.
 
     The q^n scale factors cancel in im/re, and re = 0 is exactly the pole
@@ -112,7 +116,7 @@ def tan_gaussian(n: int, t: Rational) -> TanValue:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    g = GaussianInt(t.den, t.num) ** n
+    g = GaussianInt(t.denominator, t.numerator) ** n
     if g.re == 0:
         return POLE
     return TanValue(Rational(g.im, g.re))
@@ -125,7 +129,7 @@ METHODS = {
 }
 
 
-def tan_float_check(n: int, t: Rational) -> float | None:
+def tan_float_check(n: int, t: Fraction | int) -> float | None:
     """Absolute difference between the exact value (as a double) and
     math.tan(n * math.atan(t)).
 
@@ -141,7 +145,7 @@ def tan_float_check(n: int, t: Rational) -> float | None:
         return None
     try:
         # Correctly rounded int divisions: the same doubles as the reduced fractions give.
-        if abs(den / t.den**n) < FLOAT_SKIP_THRESHOLD:
+        if abs(den / t.denominator**n) < FLOAT_SKIP_THRESHOLD:
             return None
         exact = num / den
     except OverflowError:
@@ -150,7 +154,7 @@ def tan_float_check(n: int, t: Rational) -> float | None:
     return abs(exact - approx)
 
 
-def verify_triple_agreement(max_n: int, grid: tuple[Rational, ...] = DEFAULT_GRID) -> VerifyReport:
+def verify_triple_agreement(max_n: int, grid: tuple[Fraction | int, ...] = DEFAULT_GRID) -> VerifyReport:
     """Evaluate all three routes over 0 <= n <= max_n on the grid.
 
     Agreement is exact equality of TanValue, poles included. Points are

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tanpoly import cli, multiangle, verify
 from tanpoly.exact import Rational
@@ -275,3 +279,51 @@ class TestHarness:
         first = run_cli(capsys, *argv)
         second = run_cli(capsys, *argv)
         assert first == second
+
+
+T_VALUES = st.one_of(
+    st.sampled_from(
+        ["3/7", "-3/7", "3/-7", "+1/+2", " 7/2 ", "1_0/7"]
+        + ["", "abc", "1/2/3", "1.5", "1e3", "3/", "/7", "1/0", "nan", "inf"]
+    ),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(-9, 9)),
+)
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    """Argument vectors for every subcommand: small or invalid sizes, every choice."""
+    command = draw(st.sampled_from(["triangle", "poly", "tan", "verify"]))
+    if command == "triangle":
+        rows = draw(st.integers(-2, 8))
+        name = draw(st.sampled_from(sorted(cli._TRIANGLES)))
+        fmt = draw(st.sampled_from(["table", "bfile", "csv", "json"]))
+        return [command, "--name", name, "--rows", str(rows), "--format", fmt]
+    if command == "poly":
+        n = draw(st.integers(-3, 40))
+        family = draw(st.sampled_from(sorted(cli._FAMILIES)))
+        fmt = draw(st.sampled_from(["table", "csv", "json"]))
+        return [command, "--family", family, "--n", str(n), "--format", fmt]
+    if command == "tan":
+        n = draw(st.integers(-3, 40))
+        t = draw(T_VALUES)
+        method = draw(st.sampled_from(sorted(multiangle.METHODS) + ["all"]))
+        t_args = draw(st.sampled_from([[f"--t={t}"], ["--t", t]]))
+        return [command, "--n", str(n), *t_args, "--method", method]
+    max_n = draw(st.integers(-1, 6))
+    suite = draw(st.sampled_from(list(verify.SUITE_NAMES) + ["all"]))
+    return [command, "--suite", suite, "--max-n", str(max_n)] + draw(st.sampled_from([[], ["--json"]]))
+
+
+class TestFuzz:
+    @settings(deadline=None)
+    @given(cli_argv())
+    def test_exit_code_and_streams(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith(("error:", "usage:"))
+        else:
+            assert out.getvalue()

@@ -1,14 +1,14 @@
 """Rational and GaussianInt: examples, invariants, and ring properties.
 
-The Fraction type from the standard library serves as the independent
-oracle for rational arithmetic; Gaussian powers are checked against a
-plain repeated-multiplication loop.
+Rational is the standard library Fraction restricted to int input, so
+its tests pin that restriction, parsing and printing, not the arithmetic;
+Gaussian powers are checked against a plain repeated-multiplication loop.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given
@@ -16,12 +16,7 @@ from hypothesis import strategies as st
 
 from tanpoly.exact import GaussianInt, Rational
 
-rationals = st.builds(Rational, st.integers(-60, 60), st.integers(1, 60))
 gaussians = st.builds(GaussianInt, st.integers(-15, 15), st.integers(-15, 15))
-
-
-def as_fraction(r: Rational) -> Fraction:
-    return Fraction(r.num, r.den)
 
 
 def test_coefficient_substrate_holds_large_factorials():
@@ -58,13 +53,28 @@ class TestRational:
     def test_pow(self):
         assert Rational(-2, 3) ** 3 == Rational(-8, 27)
         assert Rational(0) ** 0 == Rational(1)
-        with pytest.raises(ValueError):
-            Rational(1, 2) ** -1
+        assert Rational(1, 2) ** -1 == 2
 
     def test_str(self):
         assert str(Rational(-1)) == "-1"
         assert str(Rational(4, 3)) == "4/3"
         assert str(Rational(3, -7)) == "-3/7"
+
+    def test_repr(self):
+        assert repr(Rational(-1, 1)) == "Rational(-1, 1)"
+
+    @pytest.mark.parametrize(
+        "args", [(0.5,), ("3",), (1, 2.0), (Decimal(1),), (Fraction(1, 2),)]
+    )
+    def test_rejects_non_int_input(self, args):
+        with pytest.raises(TypeError):
+            Rational(*args)
+
+    def test_is_a_fraction(self):
+        r = Rational(1, 2)
+        assert isinstance(r, Fraction)
+        assert r == Fraction(1, 2)
+        assert hash(r) == hash(Fraction(1, 2))
 
     @pytest.mark.parametrize(
         "text,expected",
@@ -81,29 +91,6 @@ class TestRational:
     def test_parse_rejects_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             Rational.parse("1/0")
-
-    @given(rationals, rationals)
-    def test_arithmetic_matches_fractions(self, a, b):
-        assert as_fraction(a + b) == as_fraction(a) + as_fraction(b)
-        assert as_fraction(a - b) == as_fraction(a) - as_fraction(b)
-        assert as_fraction(a * b) == as_fraction(a) * as_fraction(b)
-        if b:
-            assert as_fraction(a / b) == as_fraction(a) / as_fraction(b)
-
-    @given(rationals, rationals, rationals)
-    def test_ring_laws(self, a, b, c):
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + b == b + a and a * b == b * a
-
-    @given(rationals, rationals)
-    def test_results_stay_reduced(self, a, b):
-        results = [a + b, a - b, a * b]
-        if b:
-            results.append(a / b)
-        for r in results:
-            assert r.den > 0
-            assert gcd(abs(r.num), r.den) == 1
 
 
 class TestGaussianInt:

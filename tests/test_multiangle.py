@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -129,6 +130,14 @@ class TestAgreement:
                     assert minus.is_pole
                 else:
                     assert minus == TanValue(-plus.value)
+
+    def test_any_fraction_or_int_input(self):
+        for n in range(21):
+            for t in DEFAULT_GRID:
+                inputs = [Fraction(t.num, t.den)] + ([t.num] if t.den == 1 else [])
+                for route in (tan_beeler, tan_addition, tan_gaussian):
+                    expected = route(n, t)
+                    assert all(route(n, other) == expected for other in inputs)
 
     def test_composition(self):
         for a in range(1, 13):
