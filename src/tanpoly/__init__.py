@@ -16,9 +16,7 @@ from .multiangle import (
     tan_beeler,
     tan_float_check,
     tan_gaussian,
-    verify_triple_agreement,
 )
-from .report import VerifyReport
 from .symbolic import (
     InternalInconsistencyError,
     ReducedPair,
@@ -37,9 +35,6 @@ from .symbolic import (
     t_poly_dz,
     tilde_r_row,
     tilde_t_row,
-    verify_closed_forms,
-    verify_hoffman,
-    verify_operator_expansion,
 )
 from .triangles import (
     binom,
@@ -53,10 +48,21 @@ from .triangles import (
     r_row,
     t_coef,
     t_row,
+)
+from .verify import (
+    RTILDE_GOLDEN,
+    TTILDE_GOLDEN,
+    VerifyReport,
+    run_all,
+    run_suite,
+    verify_closed_forms,
+    verify_hoffman,
+    verify_operator_expansion,
     verify_rec_vs_closed,
     verify_rt_recurrences,
+    verify_tables,
+    verify_triple_agreement,
 )
-from .verify import RTILDE_GOLDEN, TTILDE_GOLDEN, run_all, run_suite, verify_tables
 
 __version__ = "0.1.0"
 

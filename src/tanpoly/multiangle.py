@@ -26,15 +26,13 @@ returns plain Fractions) and reads only its numerator and denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import GaussianInt, Rational
-from .report import VerifyReport, failure
 
 
-@dataclass(frozen=True)
-class TanValue:
+class TanValue(NamedTuple):
     """A finite rational tangent value, or the pole."""
 
     value: Fraction | None = None
@@ -153,25 +151,3 @@ def tan_float_check(n: int, t: Fraction | int) -> float | None:
     approx = math.tan(n * math.atan(float(t)))
     return abs(exact - approx)
 
-
-def verify_triple_agreement(max_n: int, grid: tuple[Fraction | int, ...] = DEFAULT_GRID) -> VerifyReport:
-    """Evaluate all three routes over 0 <= n <= max_n on the grid.
-
-    Agreement is exact equality of TanValue, poles included. Points are
-    visited in a fixed (n, t) order so the report is deterministic.
-    """
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-    failures = []
-    checked = 0
-    for n in range(max_n + 1):
-        for t in grid:
-            by_ratio = tan_beeler(n, t)
-            by_addition = tan_addition(n, t)
-            by_gaussian = tan_gaussian(n, t)
-            checked += 1
-            if not (by_ratio == by_addition == by_gaussian):
-                failures.append(
-                    failure(n=n, t=t, beeler=by_ratio, addition=by_addition, gaussian=by_gaussian)
-                )
-    return VerifyReport("beeler", checked, tuple(failures))

@@ -31,12 +31,10 @@ ascending y-exponent, then ascending z-exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .report import VerifyReport, failure
-from .triangles import m_closed, n_closed, r_coef, t_coef
+from .triangles import r_coef, t_coef
 
 
 class InternalInconsistencyError(Exception):
@@ -241,8 +239,7 @@ def _one_plus_y2_pow(j: int) -> YPoly:
     return YPoly(coef)
 
 
-@dataclass(frozen=True)
-class ReducedPair:
+class ReducedPair(NamedTuple):
     """Canonical representative f(y) + z*g(y) modulo z^2 = 1 + y^2."""
 
     f: YPoly
@@ -457,67 +454,3 @@ def _exact_div(p: YPoly, d: int) -> YPoly:
         quotient[a] = q
     return YPoly(quotient)
 
-
-def verify_operator_expansion(max_n: int) -> VerifyReport:
-    """Check the iterates on z and y monomial-by-monomial against M and N.
-
-    The n-th iterate on z must consist of exactly the monomials
-    y^(n-2k) z^(n+2k+1) with coefficient M(n, k), and the iterate on y of
-    y^(n-2k+1) z^(n+2k) with coefficient N(n, k); nothing else may appear.
-    """
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-    failures = []
-    checked = 0
-    p = YZPoly.z()
-    q = YZPoly.y()
-    for n in range(max_n + 1):
-        want_m = {(n - 2 * k, n + 2 * k + 1): m_closed(n, k) for k in range(n // 2 + 1)}
-        got_m = dict(p._coef)
-        checked += 1
-        if got_m != want_m:
-            failures.append(failure(family="M", n=n, got=sorted(got_m.items()), want=sorted(want_m.items())))
-        want_n = {(n - 2 * k + 1, n + 2 * k): n_closed(n, k) for k in range((n + 1) // 2 + 1)}
-        got_n = dict(q._coef)
-        checked += 1
-        if got_n != want_n:
-            failures.append(failure(family="N", n=n, got=sorted(got_n.items()), want=sorted(want_n.items())))
-        p = apply_dz(p)
-        q = apply_dz(q)
-    return VerifyReport("dz-expansion", checked, tuple(failures))
-
-
-def verify_hoffman(max_n: int) -> VerifyReport:
-    """Check n-fold plain derivatives of y and z against the P and Q recurrences."""
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-    failures = []
-    checked = 0
-    dy = YZPoly.y()
-    dz = YZPoly.z()
-    for n in range(max_n + 1):
-        checked += 1
-        if reduce_z(dy) != ReducedPair(hoffman_p(n), YPoly.zero()):
-            failures.append(failure(family="P", n=n, got=str(reduce_z(dy)), want=str(hoffman_p(n))))
-        checked += 1
-        if reduce_z(dz) != ReducedPair(YPoly.zero(), hoffman_q(n)):
-            failures.append(failure(family="Q", n=n, got=str(reduce_z(dz)), want=str(hoffman_q(n))))
-        dy = diff(dy)
-        dz = diff(dz)
-    return VerifyReport("hoffman", checked, tuple(failures))
-
-
-def verify_closed_forms(max_n: int) -> VerifyReport:
-    """Check the binomial closed forms against the operator extraction route."""
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
-    failures = []
-    checked = 0
-    for n in range(1, max_n + 1):
-        checked += 1
-        if r_poly_closed(n) != r_poly_dz(n):
-            failures.append(failure(family="R", n=n, closed=r_poly_closed(n), operator=r_poly_dz(n)))
-        checked += 1
-        if t_poly_closed(n) != t_poly_dz(n):
-            failures.append(failure(family="T", n=n, closed=t_poly_closed(n), operator=t_poly_dz(n)))
-    return VerifyReport("theorem2", checked, tuple(failures))

@@ -8,7 +8,8 @@ are computed from their two-term recurrences and, independently, from the
 closed forms n! * C(n+1, 2k+1) and n! * C(n+1, 2k). The two reduced
 families Rtilde and Ttilde (A056242 and A210753) collect the coefficients
 of the reduced polynomial families, so their rows live in the symbolic
-module, which builds on this one; this module imports nothing from it.
+module, which builds on this one; this module imports nothing from the
+package.
 
 Every accessor returns 0 outside its family's index range, which makes the
 recurrences total. Row caches hold immutable tuples and are safe for
@@ -19,8 +20,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-
-from .report import VerifyReport, failure
 
 
 def binom(n: int, k: int) -> int:
@@ -119,58 +118,3 @@ def n_closed(n: int, k: int) -> int:
         raise ValueError("n must be nonnegative")
     return math.factorial(n) * binom(n + 1, 2 * k)
 
-
-def verify_rt_recurrences(max_n: int) -> VerifyReport:
-    """Check n*R(n+1,k) and n*T(n+1,k) against their two-term recurrences.
-
-    Runs for 1 <= n <= max_n with k covering the full row plus one index on
-    each side, so the out-of-range zero convention is exercised too.
-    """
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
-    failures = []
-    checked = 0
-    for n in range(1, max_n + 1):
-        for k in range((n + 1) // 2 + 2):
-            lhs = n * r_coef(n + 1, k)
-            rhs = (n + 2 * k + 1) * r_coef(n, k) + (n - 2 * k + 1) * r_coef(n, k - 1)
-            checked += 1
-            if lhs != rhs:
-                failures.append(failure(family="R", n=n, k=k, lhs=lhs, rhs=rhs))
-            lhs = n * t_coef(n + 1, k)
-            rhs = (n + 2 * k) * t_coef(n, k) + (n - 2 * k + 2) * t_coef(n, k - 1)
-            checked += 1
-            if lhs != rhs:
-                failures.append(failure(family="T", n=n, k=k, lhs=lhs, rhs=rhs))
-    return VerifyReport("rt-recurrences", checked, tuple(failures))
-
-
-def verify_rec_vs_closed(max_n: int) -> VerifyReport:
-    """Check the recurrence values against the factorial closed forms.
-
-    M is compared for k <= floor(n/2) and N for k <= floor((n+1)/2); the
-    checked count is the total number of row entries compared.
-    """
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
-    failures = []
-    checked = 0
-    for n in range(max_n + 1):
-        for k in range(n // 2 + 1):
-            checked += 1
-            if m_rec(n, k) != m_closed(n, k):
-                failures.append(
-                    failure(family="M", n=n, k=k, rec=m_rec(n, k), closed=m_closed(n, k))
-                )
-        for k in range((n + 1) // 2 + 1):
-            checked += 1
-            if n_rec(n, k) != n_closed(n, k):
-                failures.append(
-                    failure(family="N", n=n, k=k, rec=n_rec(n, k), closed=n_closed(n, k))
-                )
-    note = (
-        "N is checked on its full defining range k <= floor((n+1)/2), "
-        "one column wider than the M range k <= floor(n/2); the closed "
-        "form holds on the wider range as well."
-    )
-    return VerifyReport("corollary", checked, tuple(failures), notes=(note,))

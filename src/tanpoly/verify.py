@@ -1,18 +1,26 @@
-"""Suite registry and golden rows for the verification command.
+"""The identity suites, their registry, and the report format they share.
+
+Each suite compares two or three independent routes to the same values
+and returns a VerifyReport: how many comparisons it made and which ones
+failed. Reports are plain data; rendering and exit-code policy live in the
+cli module. Failure records keep every value as an exact decimal string so
+reports can be serialized without any floating point.
 
 The embedded rows are the first five rows of A056242 (k-part
 order-consecutive partition counts) and of A210753. They are test data,
 not inputs: the triangles are always computed from the polynomial
-families, and this suite checks the computation against the published
-rows verbatim.
+families, and the tables suite checks the computation against the
+published rows verbatim.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Mapping, NamedTuple
 
-from . import multiangle, symbolic, triangles
-from .report import VerifyReport, failure
+from .multiangle import DEFAULT_GRID, tan_addition, tan_beeler, tan_gaussian
+from .symbolic import ReducedPair, YPoly, YZPoly, apply_dz, diff, hoffman_p, hoffman_q, reduce_z
+from .symbolic import r_poly_closed, r_poly_dz, t_poly_closed, t_poly_dz, tilde_r_row, tilde_t_row
+from .triangles import m_closed, m_rec, n_closed, n_rec, r_coef, t_coef
 
 RTILDE_GOLDEN: tuple[tuple[int, ...], ...] = (
     (1,),
@@ -31,39 +39,189 @@ TTILDE_GOLDEN: tuple[tuple[int, ...], ...] = (
 )
 
 
+def failure(**fields: object) -> Mapping[str, str]:
+    """Build a failure record, stringifying each value exactly."""
+    return {key: str(value) for key, value in fields.items()}
+
+
+class VerifyReport(NamedTuple):
+    """Outcome of one verification suite."""
+
+    suite: str
+    checked: int
+    failures: tuple[Mapping[str, str], ...] = ()
+    notes: tuple[str, ...] = ()
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    def to_dict(self) -> dict:
+        return {
+            "suite": self.suite,
+            "checked": self.checked,
+            "pass": self.passed,
+            "failures": [dict(f) for f in self.failures],
+            "notes": list(self.notes),
+        }
+
+    def summary(self) -> str:
+        if self.passed:
+            return f"{self.suite}: pass (checked {self.checked})"
+        return f"{self.suite}: FAIL (checked {self.checked}, failures {len(self.failures)})"
+
+
+class _Tally:
+    """Bookkeeping for one suite run: rejects max_n below the suite's floor,
+    counts comparisons as they are made and keeps a record of each failed one.
+    """
+
+    def __init__(self, suite: str, max_n: int, least: int, notes: tuple[str, ...] = ()):
+        if max_n < least:
+            raise ValueError(f"max_n must be at least {least}")
+        self.suite = suite
+        self.notes = notes
+        self.checked = 0
+        self.failures: list[Mapping[str, str]] = []
+
+    def check(self, agree: bool, **fields: object) -> None:
+        """Count one comparison; record its fields when the routes disagree."""
+        self.checked += 1
+        if not agree:
+            self.failures.append(failure(**fields))
+
+    def report(self) -> VerifyReport:
+        return VerifyReport(self.suite, self.checked, tuple(self.failures), self.notes)
+
+
+def verify_rt_recurrences(max_n: int) -> VerifyReport:
+    """Check n*R(n+1,k) and n*T(n+1,k) against their two-term recurrences.
+
+    Runs for 1 <= n <= max_n with k covering the full row plus one index on
+    each side, so the out-of-range zero convention is exercised too.
+    """
+    tally = _Tally("rt-recurrences", max_n, 1)
+    for n in range(1, max_n + 1):
+        for k in range((n + 1) // 2 + 2):
+            lhs = n * r_coef(n + 1, k)
+            rhs = (n + 2 * k + 1) * r_coef(n, k) + (n - 2 * k + 1) * r_coef(n, k - 1)
+            tally.check(lhs == rhs, family="R", n=n, k=k, lhs=lhs, rhs=rhs)
+            lhs = n * t_coef(n + 1, k)
+            rhs = (n + 2 * k) * t_coef(n, k) + (n - 2 * k + 2) * t_coef(n, k - 1)
+            tally.check(lhs == rhs, family="T", n=n, k=k, lhs=lhs, rhs=rhs)
+    return tally.report()
+
+
+def verify_rec_vs_closed(max_n: int) -> VerifyReport:
+    """Check the recurrence values against the factorial closed forms.
+
+    M is compared for k <= floor(n/2) and N for k <= floor((n+1)/2); the
+    checked count is the total number of row entries compared.
+    """
+    note = (
+        "N is checked on its full defining range k <= floor((n+1)/2), "
+        "one column wider than the M range k <= floor(n/2); the closed "
+        "form holds on the wider range as well."
+    )
+    tally = _Tally("corollary", max_n, 1, notes=(note,))
+    for n in range(max_n + 1):
+        for k in range(n // 2 + 1):
+            rec, closed = m_rec(n, k), m_closed(n, k)
+            tally.check(rec == closed, family="M", n=n, k=k, rec=rec, closed=closed)
+        for k in range((n + 1) // 2 + 1):
+            rec, closed = n_rec(n, k), n_closed(n, k)
+            tally.check(rec == closed, family="N", n=n, k=k, rec=rec, closed=closed)
+    return tally.report()
+
+
+def verify_operator_expansion(max_n: int) -> VerifyReport:
+    """Check the iterates on z and y monomial-by-monomial against M and N.
+
+    The n-th iterate on z must consist of exactly the monomials
+    y^(n-2k) z^(n+2k+1) with coefficient M(n, k), and the iterate on y of
+    y^(n-2k+1) z^(n+2k) with coefficient N(n, k); nothing else may appear.
+    """
+    tally = _Tally("dz-expansion", max_n, 0)
+    p = YZPoly.z()
+    q = YZPoly.y()
+    for n in range(max_n + 1):
+        got = p.terms()
+        want = sorted(((n - 2 * k, n + 2 * k + 1), m_closed(n, k)) for k in range(n // 2 + 1))
+        tally.check(got == want, family="M", n=n, got=got, want=want)
+        got = q.terms()
+        want = sorted(((n - 2 * k + 1, n + 2 * k), n_closed(n, k)) for k in range((n + 1) // 2 + 1))
+        tally.check(got == want, family="N", n=n, got=got, want=want)
+        p = apply_dz(p)
+        q = apply_dz(q)
+    return tally.report()
+
+
+def verify_hoffman(max_n: int) -> VerifyReport:
+    """Check n-fold plain derivatives of y and z against the P and Q recurrences."""
+    tally = _Tally("hoffman", max_n, 0)
+    dy = YZPoly.y()
+    dz = YZPoly.z()
+    for n in range(max_n + 1):
+        got, want = reduce_z(dy), hoffman_p(n)
+        tally.check(got == ReducedPair(want, YPoly.zero()), family="P", n=n, got=got, want=want)
+        got, want = reduce_z(dz), hoffman_q(n)
+        tally.check(got == ReducedPair(YPoly.zero(), want), family="Q", n=n, got=got, want=want)
+        dy = diff(dy)
+        dz = diff(dz)
+    return tally.report()
+
+
+def verify_closed_forms(max_n: int) -> VerifyReport:
+    """Check the binomial closed forms against the operator extraction route."""
+    tally = _Tally("theorem2", max_n, 1)
+    for n in range(1, max_n + 1):
+        closed, operator = r_poly_closed(n), r_poly_dz(n)
+        tally.check(closed == operator, family="R", n=n, closed=closed, operator=operator)
+        closed, operator = t_poly_closed(n), t_poly_dz(n)
+        tally.check(closed == operator, family="T", n=n, closed=closed, operator=operator)
+    return tally.report()
+
+
 def verify_tables(max_n: int = 5) -> VerifyReport:
     """Compare computed Rtilde/Ttilde rows with the golden rows.
 
     Golden data covers rows 1..5; larger max_n checks the same five rows
     per family (rows beyond 5 are covered by the cross-method suites).
     """
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
-    rows = min(max_n, len(RTILDE_GOLDEN))
-    failures = []
-    checked = 0
-    for n in range(1, rows + 1):
-        checked += 1
-        got = symbolic.tilde_r_row(n)
-        want = list(RTILDE_GOLDEN[n - 1])
-        if got != want:
-            failures.append(failure(family="Rtilde", n=n, got=got, want=want))
-        checked += 1
-        got = symbolic.tilde_t_row(n)
-        want = list(TTILDE_GOLDEN[n - 1])
-        if got != want:
-            failures.append(failure(family="Ttilde", n=n, got=got, want=want))
-    return VerifyReport("tables", checked, tuple(failures))
+    tally = _Tally("tables", max_n, 1)
+    for n in range(1, min(max_n, len(RTILDE_GOLDEN)) + 1):
+        got, want = tilde_r_row(n), list(RTILDE_GOLDEN[n - 1])
+        tally.check(got == want, family="Rtilde", n=n, got=got, want=want)
+        got, want = tilde_t_row(n), list(TTILDE_GOLDEN[n - 1])
+        tally.check(got == want, family="Ttilde", n=n, got=got, want=want)
+    return tally.report()
+
+
+def verify_triple_agreement(max_n: int) -> VerifyReport:
+    """Evaluate all three routes over 0 <= n <= max_n on the grid.
+
+    Agreement is exact equality of TanValue, poles included. Points are
+    visited in a fixed (n, t) order so the report is deterministic.
+    """
+    tally = _Tally("beeler", max_n, 0)
+    for n in range(max_n + 1):
+        for t in DEFAULT_GRID:
+            by_ratio = tan_beeler(n, t)
+            by_addition = tan_addition(n, t)
+            by_gaussian = tan_gaussian(n, t)
+            agree = by_ratio == by_addition == by_gaussian
+            tally.check(agree, n=n, t=t, beeler=by_ratio, addition=by_addition, gaussian=by_gaussian)
+    return tally.report()
 
 
 SUITES: dict[str, Callable[[int], VerifyReport]] = {
-    "rt-recurrences": triangles.verify_rt_recurrences,
-    "corollary": triangles.verify_rec_vs_closed,
-    "dz-expansion": symbolic.verify_operator_expansion,
-    "hoffman": symbolic.verify_hoffman,
-    "theorem2": symbolic.verify_closed_forms,
+    "rt-recurrences": verify_rt_recurrences,
+    "corollary": verify_rec_vs_closed,
+    "dz-expansion": verify_operator_expansion,
+    "hoffman": verify_hoffman,
+    "theorem2": verify_closed_forms,
     "tables": verify_tables,
-    "beeler": multiangle.verify_triple_agreement,
+    "beeler": verify_triple_agreement,
 }
 
 SUITE_NAMES: tuple[str, ...] = tuple(SUITES)

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 from tanpoly import cli, multiangle, verify
 from tanpoly.exact import Rational
 from tanpoly.multiangle import TanValue
-from tanpoly.report import VerifyReport
 from tanpoly.symbolic import tilde_r_row, tilde_t_row
 from tanpoly.triangles import m_row, n_row, r_row, t_row
+from tanpoly.verify import VerifyReport
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -257,6 +258,14 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "tables")
         assert code == 1
         assert "FAIL" in out and "want=[1]" in out
+
+    def test_readme_verify_example(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        command = "$ tanpoly verify --suite all --max-n 15\n"
+        block = readme[readme.index(command) + len(command):].split("\n")[: len(verify.SUITE_NAMES)]
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-n", "15")
+        assert code == 0
+        assert out == "\n".join(block) + "\n"
 
 
 class TestHarness:

@@ -1,8 +1,11 @@
-"""Module layout: triangles sits below symbolic, and every import is at module level."""
+"""Module layout: triangles and multiangle sit below the modules that use
+them, the identity suites and their report live only in verify, and every
+import is at module level."""
 
 from __future__ import annotations
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +26,17 @@ importlib.import_module("tanpoly.triangles")
 print(" ".join(sorted(name for name in sys.modules if name.startswith("tanpoly."))))
 """
 
+# The same for the module named by the second argument.
+LOAD_MODULE_ALONE = LOAD_TRIANGLES_ALONE.replace('"tanpoly.triangles"', "sys.argv[2]")
+
+# Import tanpoly.cli in a fresh interpreter and list the modules the import added.
+IMPORT_CLI = """
+import sys
+before = set(sys.modules)
+import tanpoly.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
 
 def test_triangles_does_not_load_symbolic():
     result = subprocess.run(
@@ -32,6 +46,36 @@ def test_triangles_does_not_load_symbolic():
     loaded = result.stdout.split()
     assert "tanpoly.triangles" in loaded
     assert "tanpoly.symbolic" not in loaded
+
+
+def test_multiangle_loads_only_exact():
+    result = subprocess.run(
+        [sys.executable, "-c", LOAD_MODULE_ALONE, str(PACKAGE), "tanpoly.multiangle"],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert result.stdout.split() == ["tanpoly.exact", "tanpoly.multiangle"]
+
+
+def test_suites_and_report_live_in_verify():
+    assert not (PACKAGE / "report.py").exists()
+    defining = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "def verify_" in path.read_text(encoding="utf-8")
+    ]
+    assert defining == ["verify.py"]
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_CLI],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    added = result.stdout.split()
+    assert "tanpoly.cli" in added
+    assert "dataclasses" not in added
+    assert "inspect" not in added
 
 
 def test_no_imports_inside_functions():

@@ -19,9 +19,9 @@ from tanpoly.multiangle import (
     tan_beeler,
     tan_float_check,
     tan_gaussian,
-    verify_triple_agreement,
 )
 from tanpoly.triangles import r_coef, t_coef
+from tanpoly.verify import verify_triple_agreement
 
 small_rationals = st.builds(Rational, st.integers(-9, 9), st.integers(1, 9))
 

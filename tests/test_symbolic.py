@@ -33,10 +33,8 @@ from tanpoly.symbolic import (
     reduced_diff,
     t_poly_closed,
     t_poly_dz,
-    verify_closed_forms,
-    verify_hoffman,
-    verify_operator_expansion,
 )
+from tanpoly.verify import verify_closed_forms, verify_hoffman, verify_operator_expansion
 
 X = sympy.Symbol("x")
 X0 = sympy.Rational(3, 10)

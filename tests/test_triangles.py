@@ -24,9 +24,8 @@ from tanpoly.triangles import (
     r_row,
     t_coef,
     t_row,
-    verify_rec_vs_closed,
-    verify_rt_recurrences,
 )
+from tanpoly.verify import verify_rec_vs_closed, verify_rt_recurrences
 
 
 def pascal_rows(n_max: int) -> list[list[int]]:

@@ -1,14 +1,21 @@
-"""Suite registry, golden tables, and report plumbing."""
+"""Suite registry, golden tables, report plumbing, and failure records."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from tanpoly.report import VerifyReport, failure
+from tanpoly import cli, verify
+from tanpoly.exact import Rational
+from tanpoly.multiangle import TanValue
+from tanpoly.symbolic import YPoly
 from tanpoly.verify import (
     RTILDE_GOLDEN,
     SUITE_NAMES,
     TTILDE_GOLDEN,
+    VerifyReport,
+    failure,
     run_all,
     run_suite,
     verify_tables,
@@ -81,3 +88,77 @@ class TestRegistry:
         reports = run_all(12)
         assert [r.suite for r in reports] == list(SUITE_NAMES)
         assert all(r.passed for r in reports)
+
+
+def plus_one(value):
+    return value + 1
+
+
+# suite: (name the suite reads in tanpoly.verify, the arguments at which it
+# returns a wrong value, how the value is spoiled, checked at max_n = 7,
+# the one failure record expected, keys in order)
+FAULTS = {
+    "rt-recurrences": (
+        "r_coef", (8, 2), plus_one, 60,
+        {"family": "R", "n": "7", "k": "2", "lhs": "399", "rhs": "392"},
+    ),
+    "corollary": (
+        "m_rec", (3, 1), plus_one, 44,
+        {"family": "M", "n": "3", "k": "1", "rec": "25", "closed": "24"},
+    ),
+    "dz-expansion": (
+        "m_closed", (3, 1), plus_one, 16,
+        {
+            "family": "M",
+            "n": "3",
+            "got": "[((1, 6), 24), ((3, 4), 24)]",
+            "want": "[((1, 6), 25), ((3, 4), 24)]",
+        },
+    ),
+    "hoffman": (
+        "hoffman_p", (3,), lambda p: p + YPoly.one(), 16,
+        {
+            "family": "P",
+            "n": "3",
+            "got": "ReducedPair(f=YPoly({0: 2, 2: 8, 4: 6}), g=YPoly({}))",
+            "want": "3 + 8y^2 + 6y^4",
+        },
+    ),
+    "theorem2": (
+        "r_poly_dz", (4,), lambda p: p + YPoly.y(), 14,
+        {
+            "family": "R",
+            "n": "4",
+            "closed": "4y + 16y^3 + 20y^5 + 8y^7",
+            "operator": "5y + 16y^3 + 20y^5 + 8y^7",
+        },
+    ),
+    "tables": (
+        "tilde_r_row", (3,), lambda row: row[:-1] + [row[-1] + 1], 10,
+        {"family": "Rtilde", "n": "3", "got": "[1, 5, 5]", "want": "[1, 5, 4]"},
+    ),
+    "beeler": (
+        "tan_addition", (2, Rational(1, 2)), lambda value: TanValue(Rational(0)), 104,
+        {"n": "2", "t": "1/2", "beeler": "4/3", "addition": "0", "gaussian": "4/3"},
+    ),
+}
+
+
+class TestFailureRecords:
+    def test_every_suite_has_a_fault(self):
+        assert sorted(FAULTS) == sorted(SUITE_NAMES)
+
+    @pytest.mark.parametrize("suite", sorted(FAULTS))
+    def test_one_wrong_value(self, suite, monkeypatch, capsys):
+        name, at, spoil, checked, record = FAULTS[suite]
+        assert run_suite(suite, 7).checked == checked
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args: spoil(real(*args)) if args == at else real(*args))
+
+        report = run_suite(suite, 7)
+        assert report.checked == checked
+        assert [list(f.items()) for f in report.failures] == [list(record.items())]
+
+        assert cli.main(["verify", "--suite", suite, "--max-n", "7", "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [list(f.items()) for f in doc["reports"][0]["failures"]] == [list(record.items())]
