@@ -423,7 +423,7 @@ def r_poly_dz(n: int) -> YPoly:
     if n < 1:
         raise ValueError("family is defined for n >= 1")
     pair = reduce_z(dz_iter(n - 1, YZPoly.z()))
-    return _extract_scaled(pair, z_part=(n % 2 == 1), scale=math.factorial(n - 1))
+    return extract_scaled(pair, z_part=(n % 2 == 1), scale=math.factorial(n - 1))
 
 
 def t_poly_dz(n: int) -> YPoly:
@@ -435,10 +435,12 @@ def t_poly_dz(n: int) -> YPoly:
     if n < 1:
         raise ValueError("family is defined for n >= 1")
     pair = reduce_z(dz_iter(n - 1, YZPoly.y()))
-    return _extract_scaled(pair, z_part=(n % 2 == 0), scale=math.factorial(n - 1))
+    return extract_scaled(pair, z_part=(n % 2 == 0), scale=math.factorial(n - 1))
 
 
-def _extract_scaled(pair: ReducedPair, z_part: bool, scale: int) -> YPoly:
+def extract_scaled(pair: ReducedPair, z_part: bool, scale: int) -> YPoly:
+    """The z (or z-free) part of a reduced iterate divided by scale; a nonzero
+    other part or an inexact division raises InternalInconsistencyError."""
     kept, dropped, where = (pair.g, pair.f, "z-free") if z_part else (pair.f, pair.g, "z")
     if dropped:
         raise InternalInconsistencyError(f"unexpected {where} component: {dropped}")

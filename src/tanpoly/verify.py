@@ -2,8 +2,10 @@
 
 Each suite compares two or three independent routes to the same values
 and returns a VerifyReport: how many comparisons it made and which ones
-failed. Reports are plain data; rendering and exit-code policy live in the
-cli module. Failure records keep every value as an exact decimal string so
+failed. A route that iterates an operator (dz-expansion, hoffman, theorem2)
+is swept once over n, carrying its own state from one n to the next.
+Reports are plain data; rendering and exit-code policy live in the cli
+module. Failure records keep every value as an exact decimal string so
 reports can be serialized without any floating point.
 
 The embedded rows are the first five rows of A056242 (k-part
@@ -18,8 +20,8 @@ from __future__ import annotations
 from typing import Callable, Mapping, NamedTuple
 
 from .multiangle import DEFAULT_GRID, tan_addition, tan_beeler, tan_gaussian
-from .symbolic import ReducedPair, YPoly, YZPoly, apply_dz, diff, hoffman_p, hoffman_q, reduce_z
-from .symbolic import r_poly_closed, r_poly_dz, t_poly_closed, t_poly_dz, tilde_r_row, tilde_t_row
+from .symbolic import ReducedPair, YPoly, YZPoly, apply_dz, diff, extract_scaled, reduce_z, reduced_diff
+from .symbolic import r_poly_closed, t_poly_closed, tilde_r_row, tilde_t_row
 from .triangles import m_closed, m_rec, n_closed, n_rec, r_coef, t_coef
 
 RTILDE_GOLDEN: tuple[tuple[int, ...], ...] = (
@@ -157,28 +159,37 @@ def verify_operator_expansion(max_n: int) -> VerifyReport:
 
 
 def verify_hoffman(max_n: int) -> VerifyReport:
-    """Check n-fold plain derivatives of y and z against the P and Q recurrences."""
+    """Check n-fold plain derivatives of y and z against the P and Q recurrences.
+
+    Each route is swept once over n: diff steps y and z, and reduced_diff steps
+    (y, 0) and (0, 1), whose f and g parts at step n are P_n and Q_n.
+    """
     tally = _Tally("hoffman", max_n, 0)
-    dy = YZPoly.y()
-    dz = YZPoly.z()
+    dy, dz = YZPoly.y(), YZPoly.z()
+    p, q = ReducedPair(YPoly.y(), YPoly.zero()), ReducedPair(YPoly.zero(), YPoly.one())
     for n in range(max_n + 1):
-        got, want = reduce_z(dy), hoffman_p(n)
+        got, want = reduce_z(dy), p.f
         tally.check(got == ReducedPair(want, YPoly.zero()), family="P", n=n, got=got, want=want)
-        got, want = reduce_z(dz), hoffman_q(n)
+        got, want = reduce_z(dz), q.g
         tally.check(got == ReducedPair(YPoly.zero(), want), family="Q", n=n, got=got, want=want)
-        dy = diff(dy)
-        dz = diff(dz)
+        dy, dz, p, q = diff(dy), diff(dz), reduced_diff(p), reduced_diff(q)
     return tally.report()
 
 
 def verify_closed_forms(max_n: int) -> VerifyReport:
-    """Check the binomial closed forms against the operator extraction route."""
+    """Check the binomial closed forms against the operator extraction route.
+
+    Each operator route is swept once over n: apply_dz steps z and y, and each
+    reduced iterate is divided by a running (n-1)!. The closed forms are direct.
+    """
     tally = _Tally("theorem2", max_n, 1)
+    on_z, on_y, scale = YZPoly.z(), YZPoly.y(), 1
     for n in range(1, max_n + 1):
-        closed, operator = r_poly_closed(n), r_poly_dz(n)
+        closed, operator = r_poly_closed(n), extract_scaled(reduce_z(on_z), n % 2 == 1, scale)
         tally.check(closed == operator, family="R", n=n, closed=closed, operator=operator)
-        closed, operator = t_poly_closed(n), t_poly_dz(n)
+        closed, operator = t_poly_closed(n), extract_scaled(reduce_z(on_y), n % 2 == 0, scale)
         tally.check(closed == operator, family="T", n=n, closed=closed, operator=operator)
+        on_z, on_y, scale = apply_dz(on_z), apply_dz(on_y), scale * n
     return tally.report()
 
 

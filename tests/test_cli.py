@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -336,3 +337,11 @@ class TestFuzz:
             assert err.getvalue().startswith(("error:", "usage:"))
         else:
             assert out.getvalue()
+
+    def test_whole_report_digest(self, capsys):
+        # Pins every suite's count, pass flag and order at max_n = 60; the
+        # README example above shows only the text summary at max_n = 15.
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-n", "60", "--json")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "6876d287843968b0521ea105e83a60ca9b3d640f6a197dd9b26c0643c2331f5d"

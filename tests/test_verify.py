@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
-from tanpoly import cli, verify
+from tanpoly import cli, symbolic, verify
 from tanpoly.exact import Rational
 from tanpoly.multiangle import TanValue
-from tanpoly.symbolic import YPoly
+from tanpoly.symbolic import ReducedPair, YPoly, YZPoly, dz_iter, reduce_z
 from tanpoly.verify import (
     RTILDE_GOLDEN,
     SUITE_NAMES,
@@ -96,7 +97,8 @@ def plus_one(value):
 
 # suite: (name the suite reads in tanpoly.verify, the arguments at which it
 # returns a wrong value, how the value is spoiled, checked at max_n = 7,
-# the one failure record expected, keys in order)
+# the one failure record expected, keys in order). The hoffman entry spoils
+# the step to P_3 and the theorem2 entry the extraction of R_4.
 FAULTS = {
     "rt-recurrences": (
         "r_coef", (8, 2), plus_one, 60,
@@ -116,7 +118,8 @@ FAULTS = {
         },
     ),
     "hoffman": (
-        "hoffman_p", (3,), lambda p: p + YPoly.one(), 16,
+        "reduced_diff", (ReducedPair(YPoly({1: 2, 3: 2}), YPoly.zero()),),
+        lambda pair: pair._replace(f=pair.f + YPoly.one()), 16,
         {
             "family": "P",
             "n": "3",
@@ -125,7 +128,7 @@ FAULTS = {
         },
     ),
     "theorem2": (
-        "r_poly_dz", (4,), lambda p: p + YPoly.y(), 14,
+        "extract_scaled", (reduce_z(dz_iter(3, YZPoly.z())), False, 6), lambda p: p + YPoly.y(), 14,
         {
             "family": "R",
             "n": "4",
@@ -144,6 +147,23 @@ FAULTS = {
 }
 
 
+def inject(real, at, spoil):
+    """`real` returning a spoiled value at the arguments `at`.
+
+    A sweep hands that value back to take its next step; the step is taken
+    from the right value instead, so only the value compared at one n is wrong.
+    """
+    right = real(*at)
+    wrong = spoil(right)
+
+    def patched(*args):
+        if args == at:
+            return wrong
+        return real(*((right,) if args == (wrong,) else args))
+
+    return patched
+
+
 class TestFailureRecords:
     def test_every_suite_has_a_fault(self):
         assert sorted(FAULTS) == sorted(SUITE_NAMES)
@@ -152,8 +172,7 @@ class TestFailureRecords:
     def test_one_wrong_value(self, suite, monkeypatch, capsys):
         name, at, spoil, checked, record = FAULTS[suite]
         assert run_suite(suite, 7).checked == checked
-        real = getattr(verify, name)
-        monkeypatch.setattr(verify, name, lambda *args: spoil(real(*args)) if args == at else real(*args))
+        monkeypatch.setattr(verify, name, inject(getattr(verify, name), at, spoil))
 
         report = run_suite(suite, 7)
         assert report.checked == checked
@@ -162,3 +181,34 @@ class TestFailureRecords:
         assert cli.main(["verify", "--suite", suite, "--max-n", "7", "--json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert [list(f.items()) for f in doc["reports"][0]["failures"]] == [list(record.items())]
+
+
+class TestLinearWork:
+    """The hoffman and theorem2 routes take one operator step per n, not n steps."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # Counted in both modules: verify steps the routes itself, while
+        # hoffman_p/q, r_poly_dz/t_poly_dz and apply_dz reach them in symbolic.
+        calls = Counter()
+        for name in ("diff", "apply_dz", "reduced_diff"):
+            real = getattr(symbolic, name)
+
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            for module in (symbolic, verify):
+                monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("m", [7, 30])
+    def test_hoffman(self, calls, m):
+        assert verify.verify_hoffman(m).passed
+        assert calls == {"diff": 2 * (m + 1), "reduced_diff": 2 * (m + 1)}
+
+    @pytest.mark.parametrize("m", [7, 30])
+    def test_theorem2(self, calls, m):
+        # Each apply_dz takes one diff.
+        assert verify.verify_closed_forms(m).passed
+        assert calls == {"apply_dz": 2 * m, "diff": 2 * m}
