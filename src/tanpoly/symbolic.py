@@ -19,9 +19,9 @@ YPoly is the same in y alone. Both share one ring implementation and differ
 only in the monomial key, the product, evaluation and rendering.
 ReducedPair (f, g) is the canonical representative f(y) + z*g(y) of a
 YZPoly in the quotient ring Z[y, z]/(z^2 - 1 - y^2). P_n and Q_n are built
-by the derivation on such pairs and R_n, T_n by adding binomial multiples
-of (1 + y^2)^j straight into one coefficient dict, so neither route shares
-the z-side derivation or reduction it is checked against. All values are
+by the derivation on such pairs and R_n, T_n by Horner's rule in
+w = 1 + y^2 on their binomial closed forms, so neither route shares the
+z-side derivation or reduction it is checked against. All values are
 immutable and functions are pure; nothing here uses floating point.
 
 Canonical monomial order for iteration, display, and serialization:
@@ -31,7 +31,7 @@ ascending y-exponent, then ascending z-exponent.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import operator
 from typing import Mapping, NamedTuple
 
 from .triangles import r_coef, t_coef
@@ -228,17 +228,6 @@ def _add(acc: dict, key, c: int) -> None:
         acc[key] = c
 
 
-@lru_cache(maxsize=None)
-def _one_plus_y2_pow(j: int) -> YPoly:
-    """(1 + y^2)^j, built term by term with the exact step C(j, k+1) = C(j, k)(j-k)/(k+1)."""
-    coef: dict[int, int] = {}
-    c = 1
-    for k in range(j + 1):
-        coef[2 * k] = c
-        c = c * (j - k) // (k + 1)
-    return YPoly(coef)
-
-
 class ReducedPair(NamedTuple):
     """Canonical representative f(y) + z*g(y) modulo z^2 = 1 + y^2."""
 
@@ -285,17 +274,25 @@ def dz_iter(n: int, seed: YZPoly) -> YZPoly:
 
 
 def reduce_z(p: YZPoly) -> ReducedPair:
-    """Canonical form modulo z^2 = 1 + y^2.
-
-    Every z^(2j) becomes (1 + y^2)^j and z^(2j+1) becomes z * (1 + y^2)^j.
-    """
+    """Canonical form modulo z^2 = 1 + y^2: z^(2j) becomes w^j = (1 + y^2)^j and
+    z^(2j+1) becomes z * w^j. Each parity part of (a, b) is summed by Horner's
+    rule over j on a list indexed by a >> 1; a step times w is one shift-add."""
+    parts: dict[tuple[int, int], dict[int, list]] = {}
+    for (a, b), c in p._coef.items():
+        parts.setdefault((b & 1, a & 1), {}).setdefault(b >> 1, []).append((a >> 1, c))
     f: dict[int, int] = {}
     g: dict[int, int] = {}
-    for (a, b), c in p._coef.items():
-        j, odd = divmod(b, 2)
-        target = g if odd else f
-        for e, w in _one_plus_y2_pow(j)._coef.items():
-            _add(target, a + e, c * w)
+    for (z_odd, y_odd), by_j in parts.items():
+        acc: list[int] = []
+        for j in range(max(by_j), -1, -1):
+            acc = list(map(operator.add, acc + [0], [0] + acc))
+            for i, c in by_j.get(j, ()):
+                if i >= len(acc):
+                    acc += [0] * (i + 1 - len(acc))
+                acc[i] += c
+        target = g if z_odd else f
+        for i, c in enumerate(acc):
+            target[2 * i + y_odd] = c
     return ReducedPair(YPoly(f), YPoly(g))
 
 
@@ -364,19 +361,20 @@ def t_poly_closed(n: int) -> YPoly:
 
 
 def _binomial_closed_form(n: int, coef, odd: int) -> YPoly:
-    """Sum over k <= floor((n-odd)/2) of
-    coef(n, k) * y^(n-2k-odd) * (1 + y^2)^(floor((n-1+odd)/2) + k),
-    with coef(n, k) = C(n, 2k+odd), added term by term into one dict.
+    """Sum over k <= K = floor((n-odd)/2) of coef(n, k) * y^(n-2k-odd) *
+    w^(floor((n-1+odd)/2) + k), w = 1 + y^2, with coef(n, k) = C(n, 2k+odd).
+    All terms have one degree in y^2, so Horner's rule in w runs from the top
+    (one shift-add per step); acc[i] is the coefficient of y^(2i + n-odd-2K).
     """
     if n < 1:
         raise ValueError("family is defined for n >= 1")
-    acc: dict[int, int] = {}
-    for k in range((n - odd) // 2 + 1):
-        c = coef(n, k)
-        a = n - 2 * k - odd
-        for e, w in _one_plus_y2_pow((n - 1 + odd) // 2 + k)._coef.items():
-            _add(acc, a + e, c * w)
-    return YPoly(acc)
+    top = (n - odd) // 2
+    acc = [coef(n, top)]
+    for k in range(top - 1, -((n - 1 + odd) // 2) - 1, -1):
+        acc = list(map(operator.add, acc + [0], [0] + acc))
+        if k >= 0:
+            acc[-1] += coef(n, k)
+    return YPoly({2 * i + n - odd - 2 * top: c for i, c in enumerate(acc)})
 
 
 def tilde_r_row(n: int) -> list[int]:
@@ -420,10 +418,7 @@ def r_poly_dz(n: int) -> YPoly:
     the parity structure of the expansion is broken, so truncating or
     rounding is never acceptable.
     """
-    if n < 1:
-        raise ValueError("family is defined for n >= 1")
-    pair = reduce_z(dz_iter(n - 1, YZPoly.z()))
-    return extract_scaled(pair, z_part=(n % 2 == 1), scale=math.factorial(n - 1))
+    return _dz_family(n, YZPoly.z(), 1)
 
 
 def t_poly_dz(n: int) -> YPoly:
@@ -432,10 +427,15 @@ def t_poly_dz(n: int) -> YPoly:
     Parity is opposite to the R family: odd n sits on the z-free part,
     even n on the z part. Same exactness guarantees as r_poly_dz.
     """
+    return _dz_family(n, YZPoly.y(), 0)
+
+
+def _dz_family(n: int, seed: YZPoly, odd: int) -> YPoly:
+    """Member n from the (n-1)-th iterate on seed, on the z part if n % 2 == odd."""
     if n < 1:
         raise ValueError("family is defined for n >= 1")
-    pair = reduce_z(dz_iter(n - 1, YZPoly.y()))
-    return extract_scaled(pair, z_part=(n % 2 == 0), scale=math.factorial(n - 1))
+    pair = reduce_z(dz_iter(n - 1, seed))
+    return extract_scaled(pair, z_part=(n % 2 == odd), scale=math.factorial(n - 1))
 
 
 def extract_scaled(pair: ReducedPair, z_part: bool, scale: int) -> YPoly:

@@ -7,6 +7,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,6 +22,9 @@ from tanpoly.multiangle import TanValue
 from tanpoly.symbolic import tilde_r_row, tilde_t_row
 from tanpoly.triangles import m_row, n_row, r_row, t_row
 from tanpoly.verify import VerifyReport
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -261,7 +266,7 @@ class TestVerifyCommand:
         assert "FAIL" in out and "want=[1]" in out
 
     def test_readme_verify_example(self, capsys):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
         command = "$ tanpoly verify --suite all --max-n 15\n"
         block = readme[readme.index(command) + len(command):].split("\n")[: len(verify.SUITE_NAMES)]
         code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-n", "15")
@@ -345,3 +350,59 @@ class TestFuzz:
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "6876d287843968b0521ea105e83a60ca9b3d640f6a197dd9b26c0643c2331f5d"
+
+
+class TestLargeOutputs:
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            pytest.param(
+                ("triangle", "--name", "Ttilde", "--rows", "300", "--format", "bfile"),
+                "a70775f6134c459b6efcb11d27bec61034cfa9aa0bd1271c4b04d88bee63e987",
+                id="Ttilde-300-bfile",
+            ),
+            pytest.param(
+                ("triangle", "--name", "Rtilde", "--rows", "300", "--format", "csv"),
+                "8f8efc572024aee79558d9713fddaeb3efb5dd04da1e3d15b06c5879152d182e",
+                id="Rtilde-300-csv",
+            ),
+            pytest.param(
+                ("poly", "--family", "R", "--n", "1000", "--format", "json"),
+                "41159de76afce7f07236f0a31cce6f5880f121fce218bd62ec741e6272670e41",
+                id="R-1000-json",
+            ),
+            pytest.param(
+                ("poly", "--family", "T", "--n", "999"),
+                "4412b286e365f285c10654e345fb7fd1584551446721b56ebe5e1ec513bab871",
+                id="T-999-table",
+            ),
+        ],
+    )
+    def test_large_output_digest(self, capsys, argv, digest):
+        # Large closed-form R/T and tilde outputs; the benchmark's emit check
+        # covers only Rtilde to 200 rows, and no other test goes this far.
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+    def test_r_family_peak_memory(self):
+        # A child's ru_maxrss starts at its parent's RSS when it was spawned,
+        # so the run is started and waited for by a small interpreter, not
+        # by the test process.
+        launcher = (
+            "import os, subprocess, sys\n"
+            "argv = [sys.executable, '-m', 'tanpoly', 'poly', '--family', 'R', '--n', '2000']\n"
+            "pid = subprocess.Popen(argv, stdout=subprocess.DEVNULL).pid\n"
+            "_, status, usage = os.wait4(pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", launcher], cwd=ROOT, env=env, capture_output=True, check=True
+        ).stdout
+        code, maxrss = map(int, out.split())
+        assert code == 0
+        # ru_maxrss is in bytes on macOS and in KiB elsewhere
+        peak = maxrss if sys.platform == "darwin" else maxrss * 1024
+        assert peak < 100 * 2**20

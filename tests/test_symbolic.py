@@ -1,18 +1,22 @@
 """Polynomial algebra, the derivation, reduction, and the four families.
 
-Two kinds of oracle anchor this module: hypothesis properties for the
-algebraic laws, and sympy computing genuine n-th derivatives of tan and
-sec by calculus alone, compared numerically at a rational point with 50
-digits of precision. The sympy route shares no code with the package.
+The oracles here share no code with the package: hypothesis properties
+for the algebraic laws; exact evaluation at rational points of
+z^2 = 1 + y^2 for the reduction; a Fibonacci-type recurrence on plain
+integer lists for the R and T closed forms; and sympy computing genuine
+n-th derivatives of tan and sec by calculus alone, compared numerically
+at a rational point with 50 digits of precision.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from itertools import chain, zip_longest
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tanpoly.symbolic import (
@@ -21,7 +25,6 @@ from tanpoly.symbolic import (
     YPoly,
     YZPoly,
     _exact_div,
-    _one_plus_y2_pow,
     apply_dz,
     diff,
     dz_iter,
@@ -94,6 +97,35 @@ def euler_zigzag(n_max: int) -> list[int]:
         row = new
         numbers.append(row[-1])
     return numbers
+
+
+# Rational points on z^2 = 1 + y^2, with both signs of z.
+PYTHAGOREAN_POINTS = [
+    (Fraction(3, 4), Fraction(5, 4)),
+    (Fraction(3, 4), Fraction(-5, 4)),
+    (Fraction(5, 12), Fraction(13, 12)),
+    (Fraction(5, 12), Fraction(-13, 12)),
+]
+
+
+def fibonacci_type(prev: list[int], cur: list[int], n: int, odd: int, n_max: int):
+    """Yields (m, X_m) for m = n .. n_max, X_m as coefficients of y^0, y^1, ...,
+    from X_n = cur and X_{n-1} = prev by the recurrence
+    X_{m+1} = 2y * w^[m % 2 == odd] * X_m + w * X_{m-1}, with w = 1 + y^2.
+    With odd = 1 and X_0 = 0, X_1 = 1 this gives R_m; with odd = 0 and
+    X_1 = y, X_2 = 1 + 2y^2 it gives T_m.
+    """
+
+    def times_w(p: list[int]) -> list[int]:
+        return [a + b for a, b in zip(p + [0, 0], [0, 0] + p)]
+
+    while True:
+        yield n, cur
+        if n == n_max:
+            return
+        step = [0] + [2 * c for c in (times_w(cur) if n % 2 == odd else cur)]
+        prev, cur = cur, [a + b for a, b in zip_longest(step, times_w(prev), fillvalue=0)]
+        n += 1
 
 
 def z_free(f: YPoly) -> YZPoly:
@@ -220,6 +252,17 @@ class TestReduction:
         )
 
     @given(yz_polys)
+    @example(YZPoly({(0, 0): 1, (3, 0): -2, (2, 1): 3, (5, 3): -4, (1, 4): 5, (4, 6): 6}))
+    def test_matches_evaluation_at_pythagorean_points(self, p):
+        # evaluated from the terms alone, with z taking the value the quotient assumes
+        pair = reduce_z(p)
+        for y, z in PYTHAGOREAN_POINTS:
+            value = sum(c * y**a * z**b for (a, b), c in p.terms())
+            f = sum(c * y**a for a, c in pair.f.terms())
+            g = sum(c * y**a for a, c in pair.g.terms())
+            assert value == f + z * g
+
+    @given(yz_polys)
     @settings(max_examples=200)
     def test_derivation_well_defined_on_quotient(self, p):
         assert reduce_z(diff(p)) == reduced_diff(reduce_z(p))
@@ -310,11 +353,16 @@ class TestRTFamilies:
             rhs = rhs * sec0
         assert close_enough(lhs, rhs)
 
-    def test_one_plus_y2_pow_is_the_binomial_row(self):
-        # deep enough that a recursive build would pass the interpreter's stack limit
-        j = 1500
-        assert _one_plus_y2_pow(j).terms() == [(2 * k, math.comb(j, k)) for k in range(j + 1)]
-        assert _one_plus_y2_pow(j) is _one_plus_y2_pow(j)
+    def test_closed_forms_match_fibonacci_type_recurrence(self):
+        # n = 2000 reaches powers of 1 + y^2 up to 1999
+        families = [
+            (r_poly_closed, fibonacci_type([], [1], 1, 1, 2000)),
+            (t_poly_closed, chain([(1, [0, 1])], fibonacci_type([0, 1], [1, 0, 2], 2, 0, 2000))),
+        ]
+        for closed, recurrence in families:
+            for n, coefs in recurrence:
+                if n <= 300 or n == 2000:
+                    assert closed(n) == YPoly(dict(enumerate(coefs))), n
 
     def test_exact_division_guard(self):
         with pytest.raises(InternalInconsistencyError):
