@@ -16,18 +16,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import count, islice
 
 from . import multiangle, symbolic, triangles, verify
 from .exact import Rational
 
 _TRIANGLES = {
-    # name: (row function, first row index, row cap)
-    "R": (triangles.r_row, 0, None),
-    "T": (triangles.t_row, 0, None),
-    "M": (triangles.m_row, 0, 60),
-    "N": (triangles.n_row, 0, 60),
-    "Rtilde": (symbolic.tilde_r_row, 1, None),
-    "Ttilde": (symbolic.tilde_t_row, 1, None),
+    # name: (rows from the first row on, first row index, row cap)
+    "R": (lambda: map(triangles.r_row, count(0)), 0, None),
+    "T": (lambda: map(triangles.t_row, count(0)), 0, None),
+    "M": (triangles.m_row_seq, 0, 60),
+    "N": (triangles.n_row_seq, 0, 60),
+    "Rtilde": (lambda: map(symbolic.tilde_r_row, count(1)), 1, None),
+    "Ttilde": (lambda: map(symbolic.tilde_t_row, count(1)), 1, None),
 }
 
 _FAMILIES = {
@@ -45,26 +46,26 @@ def _usage_error(message: str) -> int:
 
 
 def _cmd_triangle(args: argparse.Namespace) -> int:
-    row_fn, first, cap = _TRIANGLES[args.name]
+    rows_fn, first, cap = _TRIANGLES[args.name]
     if args.rows < 1:
         return _usage_error("--rows must be at least 1")
     if cap is not None and args.rows > cap:
         return _usage_error(f"--rows is capped at {cap} for {args.name}")
-    rows = [row_fn(n) for n in range(first, first + args.rows)]
-    if args.format == "table":
-        print("\n".join(" ".join(str(v) for v in row) for row in rows))
-    elif args.format == "csv":
-        print("\n".join(",".join(str(v) for v in row) for row in rows))
+    # Rows are drawn and written one at a time, so memory holds one row.
+    rows = islice(rows_fn(), args.rows)
+    if args.format == "json":
+        rows = [[str(v) for v in row] for row in rows]
+        print(json.dumps({"name": args.name, "first_row": first, "rows": rows}))
     elif args.format == "bfile":
-        flat = [v for row in rows for v in row]
-        print("\n".join(f"{i} {v}" for i, v in enumerate(flat, start=1)))
+        index = count(1)  # zip(row, index): zip(index, row) skips one at each row end
+        for row in rows:
+            sys.stdout.write("".join(f"{i} {v}\n" for v, i in zip(row, index)))
+        if next(index) == 1:  # R --rows 1 has no values and prints one empty line
+            print()
     else:
-        doc = {
-            "name": args.name,
-            "first_row": first,
-            "rows": [[str(v) for v in row] for row in rows],
-        }
-        print(json.dumps(doc))
+        sep = " " if args.format == "table" else ","
+        for row in rows:
+            print(sep.join(map(str, row)))
     return 0
 
 

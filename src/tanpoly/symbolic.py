@@ -11,8 +11,14 @@ polynomial families:
     R_n, T_n   factorial-normalized reductions of the iterated weighted
                operator applied to z and to y
 
-The rows of the Rtilde and Ttilde triangles are read off R_n and T_n
-here (tilde_r_row, tilde_t_row).
+The rows of the Rtilde and Ttilde triangles are the coefficient lists of
+the R_n and T_n closed forms (tilde_r_row, tilde_t_row).
+
+Each iterated route is one lazy sequence, which takes a step only when its
+next item is drawn: dz_seq (apply_dz), hoffman_p_seq/hoffman_q_seq
+(reduced_diff) and r_poly_dz_seq/t_poly_dz_seq (reduce, extract, divide by
+a running (n-1)!). dz_iter, hoffman_p/q and r_poly_dz/t_poly_dz return
+item n of theirs, and the verify suites sweep them.
 
 YZPoly is a sparse integer polynomial in the commuting variables y and z;
 YPoly is the same in y alone. Both share one ring implementation and differ
@@ -30,9 +36,9 @@ ascending y-exponent, then ascending z-exponent.
 
 from __future__ import annotations
 
-import math
 import operator
-from typing import Mapping, NamedTuple
+from itertools import islice
+from typing import Iterator, Mapping, NamedTuple
 
 from .triangles import r_coef, t_coef
 
@@ -263,14 +269,24 @@ def apply_dz(p: YZPoly) -> YZPoly:
     return diff(YZPoly.z() * p)
 
 
-def dz_iter(n: int, seed: YZPoly) -> YZPoly:
-    """n-fold application of apply_dz; returns seed unchanged for n = 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+def dz_seq(seed: YZPoly) -> Iterator[YZPoly]:
+    """seed, apply_dz(seed), apply_dz(apply_dz(seed)), ..."""
     p = seed
-    for _ in range(n):
+    while True:
+        yield p
         p = apply_dz(p)
-    return p
+
+
+def dz_iter(n: int, seed: YZPoly) -> YZPoly:
+    """n-fold application of apply_dz, item n of dz_seq(seed)."""
+    return _item(dz_seq(seed), n, 0)
+
+
+def _item(seq: Iterator, n: int, first: int):
+    """Item n of seq, whose items are numbered from first."""
+    if n < first:
+        raise ValueError(f"n must be at least {first}")
+    return next(islice(seq, n - first, None))
 
 
 def reduce_z(p: YZPoly) -> ReducedPair:
@@ -318,28 +334,32 @@ def reduced_diff(pair: ReducedPair) -> ReducedPair:
     return ReducedPair(YPoly(f), YPoly(g))
 
 
-def _reduced_diff_iter(n: int, pair: ReducedPair) -> ReducedPair:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    for _ in range(n):
+def hoffman_p_seq() -> Iterator[YPoly]:
+    """P_0, P_1, ...: the f parts of reduced_diff iterated from (y, 0)."""
+    pair = ReducedPair(YPoly.y(), YPoly.zero())
+    while True:
+        yield pair.f
         pair = reduced_diff(pair)
-    return pair
+
+
+def hoffman_q_seq() -> Iterator[YPoly]:
+    """Q_0, Q_1, ...: the g parts of reduced_diff iterated from (0, 1)."""
+    pair = ReducedPair(YPoly.zero(), YPoly.one())
+    while True:
+        yield pair.g
+        pair = reduced_diff(pair)
 
 
 def hoffman_p(n: int) -> YPoly:
-    """Derivative polynomial of the tangent: P_0 = y, P_{k+1} = (1+y^2) P_k'.
-
-    The f part of reduced_diff iterated n times from (y, 0).
-    """
-    return _reduced_diff_iter(n, ReducedPair(YPoly.y(), YPoly.zero())).f
+    """Derivative polynomial of the tangent, item n of hoffman_p_seq:
+    P_0 = y, P_{k+1} = (1+y^2) P_k'."""
+    return _item(hoffman_p_seq(), n, 0)
 
 
 def hoffman_q(n: int) -> YPoly:
-    """Derivative polynomial of the secant: Q_0 = 1, Q_{k+1} = (1+y^2) Q_k' + y Q_k.
-
-    The g part of reduced_diff iterated n times from (0, 1).
-    """
-    return _reduced_diff_iter(n, ReducedPair(YPoly.zero(), YPoly.one())).g
+    """Derivative polynomial of the secant, item n of hoffman_q_seq:
+    Q_0 = 1, Q_{k+1} = (1+y^2) Q_k' + y Q_k."""
+    return _item(hoffman_q_seq(), n, 0)
 
 
 def r_poly_closed(n: int) -> YPoly:
@@ -348,7 +368,7 @@ def r_poly_closed(n: int) -> YPoly:
     R_n(y) = sum over k <= floor((n-1)/2) of
              C(n, 2k+1) * y^(n-2k-1) * (1 + y^2)^(floor(n/2) + k).
     """
-    return _binomial_closed_form(n, r_coef, 1)
+    return YPoly({2 * i + (n - 1) % 2: c for i, c in enumerate(_binomial_closed_form(n, 1))})
 
 
 def t_poly_closed(n: int) -> YPoly:
@@ -357,24 +377,25 @@ def t_poly_closed(n: int) -> YPoly:
     T_n(y) = sum over k <= floor(n/2) of
              C(n, 2k) * y^(n-2k) * (1 + y^2)^(floor((n-1)/2) + k).
     """
-    return _binomial_closed_form(n, t_coef, 0)
+    return YPoly({2 * i + n % 2: c for i, c in enumerate(_binomial_closed_form(n, 0))})
 
 
-def _binomial_closed_form(n: int, coef, odd: int) -> YPoly:
-    """Sum over k <= K = floor((n-odd)/2) of coef(n, k) * y^(n-2k-odd) *
-    w^(floor((n-1+odd)/2) + k), w = 1 + y^2, with coef(n, k) = C(n, 2k+odd).
-    All terms have one degree in y^2, so Horner's rule in w runs from the top
-    (one shift-add per step); acc[i] is the coefficient of y^(2i + n-odd-2K).
+def _binomial_closed_form(n: int, odd: int) -> list[int]:
+    """The n coefficients of y^e, y^(e+2), ..., e = (n-odd) % 2, in the sum over
+    k <= K = floor((n-odd)/2) of C(n, 2k+odd) * y^(n-2k-odd) * w^(floor((n-1+odd)/2) + k),
+    w = 1 + y^2. All terms have one degree in y^2, so Horner's rule in w runs
+    from the top (one shift-add per step).
     """
     if n < 1:
         raise ValueError("family is defined for n >= 1")
+    coef = r_coef if odd else t_coef
     top = (n - odd) // 2
     acc = [coef(n, top)]
     for k in range(top - 1, -((n - 1 + odd) // 2) - 1, -1):
         acc = list(map(operator.add, acc + [0], [0] + acc))
         if k >= 0:
             acc[-1] += coef(n, k)
-    return YPoly({2 * i + n - odd - 2 * top: c for i, c in enumerate(acc)})
+    return acc
 
 
 def tilde_r_row(n: int) -> list[int]:
@@ -383,10 +404,7 @@ def tilde_r_row(n: int) -> list[int]:
     The source polynomial is the even-index T family for even n and the
     odd-index R family for odd n; rows 1..5 reproduce A056242.
     """
-    if n < 1:
-        raise ValueError("rows are defined for n >= 1")
-    poly = t_poly_closed(n) if n % 2 == 0 else r_poly_closed(n)
-    return _strided_coefficients(poly, first_exp=0, count=n)
+    return _binomial_closed_form(n, n % 2)
 
 
 def tilde_t_row(n: int) -> list[int]:
@@ -395,64 +413,51 @@ def tilde_t_row(n: int) -> list[int]:
     The source polynomial is the even-index R family for even n and the
     odd-index T family for odd n; rows 1..5 reproduce A210753.
     """
-    if n < 1:
-        raise ValueError("rows are defined for n >= 1")
-    poly = r_poly_closed(n) if n % 2 == 0 else t_poly_closed(n)
-    return _strided_coefficients(poly, first_exp=1, count=n)
+    return _binomial_closed_form(n, 1 - n % 2)
 
 
-def _strided_coefficients(poly: YPoly, first_exp: int, count: int) -> list[int]:
-    wanted = range(first_exp, first_exp + 2 * count, 2)
-    stray = sorted(set(poly._coef) - set(wanted))
-    if stray:
-        raise InternalInconsistencyError(f"source polynomial has unexpected exponents {stray}")
-    return [poly.coefficient(exp) for exp in wanted]
+def r_poly_dz_seq() -> Iterator[YPoly]:
+    """R_1, R_2, ... from the iterates on z: R_n is the z-free part (even n)
+    or z part (odd n) of the reduced (n-1)-th iterate, divided by (n-1)!. A
+    nonzero other part or an inexact division raises InternalInconsistencyError,
+    since the parity structure would be broken; nothing is truncated or rounded."""
+    return _dz_family_seq(YZPoly.z(), 1)
+
+
+def t_poly_dz_seq() -> Iterator[YPoly]:
+    """T_1, T_2, ... from the iterates on y, with the parity of r_poly_dz_seq
+    reversed: odd n sits on the z-free part, even n on the z part."""
+    return _dz_family_seq(YZPoly.y(), 0)
+
+
+def _dz_family_seq(seed: YZPoly, odd: int) -> Iterator[YPoly]:
+    """Members 1, 2, ...: member n on the z part if n % 2 == odd, scale (n-1)!."""
+    scale = 1
+    for n, p in enumerate(dz_seq(seed), start=1):
+        yield _extract_scaled(reduce_z(p), n % 2 == odd, scale)
+        scale *= n
 
 
 def r_poly_dz(n: int) -> YPoly:
-    """R_n extracted from the (n-1)-th weighted-operator iterate on z.
-
-    After reduction the iterate must sit entirely on the z-free part (even
-    n) or the z part (odd n), and every coefficient must divide exactly by
-    (n-1)!. A violation raises InternalInconsistencyError: it would mean
-    the parity structure of the expansion is broken, so truncating or
-    rounding is never acceptable.
-    """
-    return _dz_family(n, YZPoly.z(), 1)
+    """R_n by the operator route, item n-1 of r_poly_dz_seq, for n >= 1."""
+    return _item(r_poly_dz_seq(), n, 1)
 
 
 def t_poly_dz(n: int) -> YPoly:
-    """T_n extracted from the (n-1)-th weighted-operator iterate on y.
-
-    Parity is opposite to the R family: odd n sits on the z-free part,
-    even n on the z part. Same exactness guarantees as r_poly_dz.
-    """
-    return _dz_family(n, YZPoly.y(), 0)
+    """T_n by the operator route, item n-1 of t_poly_dz_seq, for n >= 1."""
+    return _item(t_poly_dz_seq(), n, 1)
 
 
-def _dz_family(n: int, seed: YZPoly, odd: int) -> YPoly:
-    """Member n from the (n-1)-th iterate on seed, on the z part if n % 2 == odd."""
-    if n < 1:
-        raise ValueError("family is defined for n >= 1")
-    pair = reduce_z(dz_iter(n - 1, seed))
-    return extract_scaled(pair, z_part=(n % 2 == odd), scale=math.factorial(n - 1))
-
-
-def extract_scaled(pair: ReducedPair, z_part: bool, scale: int) -> YPoly:
+def _extract_scaled(pair: ReducedPair, z_part: bool, scale: int) -> YPoly:
     """The z (or z-free) part of a reduced iterate divided by scale; a nonzero
     other part or an inexact division raises InternalInconsistencyError."""
     kept, dropped, where = (pair.g, pair.f, "z-free") if z_part else (pair.f, pair.g, "z")
     if dropped:
         raise InternalInconsistencyError(f"unexpected {where} component: {dropped}")
-    return _exact_div(kept, scale)
-
-
-def _exact_div(p: YPoly, d: int) -> YPoly:
     quotient: dict[int, int] = {}
-    for a, c in p._coef.items():
-        q, rem = divmod(c, d)
+    for a, c in kept._coef.items():
+        q, rem = divmod(c, scale)
         if rem:
-            raise InternalInconsistencyError(f"coefficient {c} of y^{a} not divisible by {d}")
+            raise InternalInconsistencyError(f"coefficient {c} of y^{a} not divisible by {scale}")
         quotient[a] = q
     return YPoly(quotient)
-

@@ -5,21 +5,23 @@ odd- and even-column halves of Pascal's triangle (A034867 and A034839).
 Two factorial-scaled families M and N, the coefficients of the iterated
 operator p -> d/dx(sec(x) * p) expanded over tan and sec monomials; they
 are computed from their two-term recurrences and, independently, from the
-closed forms n! * C(n+1, 2k+1) and n! * C(n+1, 2k). The two reduced
-families Rtilde and Ttilde (A056242 and A210753) collect the coefficients
-of the reduced polynomial families, so their rows live in the symbolic
-module, which builds on this one; this module imports nothing from the
-package.
+closed forms n! * C(n+1, 2k+1) and n! * C(n+1, 2k). The recurrence rows
+are the lazy sequences m_row_seq and n_row_seq, which m_row/n_row and
+m_rec/n_rec read and the corollary suite and triangle command sweep. The
+two reduced families Rtilde and Ttilde (A056242 and A210753) collect the
+coefficients of the reduced polynomial families, so their rows live in the
+symbolic module, which builds on this one; this module imports nothing
+from the package.
 
 Every accessor returns 0 outside its family's index range, which makes the
-recurrences total. Row caches hold immutable tuples and are safe for
-concurrent readers.
+recurrences total. Nothing is cached.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from itertools import count, islice
+from typing import Iterator
 
 
 def binom(n: int, k: int) -> int:
@@ -51,58 +53,54 @@ def t_row(n: int) -> list[int]:
     return [t_coef(n, k) for k in range(n // 2 + 1)]
 
 
-@lru_cache(maxsize=None)
-def _mn_row(n: int, s: int) -> tuple[int, ...]:
-    """Row n of M (s = 0) or N (s = 1), of length floor((n+s)/2) + 1, from
-    X(m+1, k) = (m+2k+2-s) X(m, k) + (m-2k+2+s) X(m, k-1).
-
-    The rows below n are fetched in ascending order first, so each is built
-    from a cached predecessor and the stack stays shallow for any n.
+def _mn_row_seq(s: int) -> Iterator[list[int]]:
+    """Rows 0, 1, ... of M (s = 0) or N (s = 1), row n of length
+    floor((n+s)/2) + 1, from X(m+1, k) = (m+2k+2-s) X(m, k) + (m-2k+2+s) X(m, k-1).
     """
-    if n == 0:
-        return (1,)
-    for below in range(1, n):
-        _mn_row(below, s)
-    prev = _mn_row(n - 1, s)
-    m = n - 1
-    size = len(prev)
-    return tuple(
-        (m + 2 * k + 2 - s) * (prev[k] if k < size else 0)
-        + (m - 2 * k + 2 + s) * (prev[k - 1] if 1 <= k <= size else 0)
-        for k in range((n + s) // 2 + 1)
-    )
+    row = [1]
+    for m in count():
+        yield row
+        padded = [0, *row, 0]
+        row = [
+            (m + 2 * k + 2 - s) * padded[k + 1] + (m - 2 * k + 2 + s) * padded[k]
+            for k in range((m + 1 + s) // 2 + 1)
+        ]
+
+
+def m_row_seq() -> Iterator[list[int]]:
+    """Rows 0, 1, ... of the M triangle by recurrence."""
+    return _mn_row_seq(0)
+
+
+def n_row_seq() -> Iterator[list[int]]:
+    """Rows 0, 1, ... of the N triangle by recurrence."""
+    return _mn_row_seq(1)
 
 
 def m_row(n: int) -> list[int]:
     """Row n of the M triangle by recurrence: k = 0 .. floor(n/2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return list(_mn_row(n, 0))
+    return next(islice(m_row_seq(), n, None))
 
 
 def n_row(n: int) -> list[int]:
     """Row n of the N triangle by recurrence: k = 0 .. floor((n+1)/2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return list(_mn_row(n, 1))
+    return next(islice(n_row_seq(), n, None))
 
 
 def m_rec(n: int, k: int) -> int:
     """M(n, k) from the recurrence M(n+1,k) = (n+2k+2)M(n,k) + (n-2k+2)M(n,k-1)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0 or k > n // 2:
-        return 0
-    return _mn_row(n, 0)[k]
+    row = m_row(n)
+    return row[k] if 0 <= k < len(row) else 0
 
 
 def n_rec(n: int, k: int) -> int:
     """N(n, k) from the recurrence N(n+1,k) = (n+2k+1)N(n,k) + (n-2k+3)N(n,k-1)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0 or k > (n + 1) // 2:
-        return 0
-    return _mn_row(n, 1)[k]
+    row = n_row(n)
+    return row[k] if 0 <= k < len(row) else 0
 
 
 def m_closed(n: int, k: int) -> int:

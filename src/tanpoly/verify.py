@@ -2,8 +2,9 @@
 
 Each suite compares two or three independent routes to the same values
 and returns a VerifyReport: how many comparisons it made and which ones
-failed. A route that iterates an operator (dz-expansion, hoffman, theorem2)
-is swept once over n, carrying its own state from one n to the next.
+failed. The iterated routes are the lazy sequences symbolic and triangles
+own; a suite zips them against range(...), range first, so no item past
+max_n is drawn, and steps only the plain diff route of hoffman itself.
 Reports are plain data; rendering and exit-code policy live in the cli
 module. Failure records keep every value as an exact decimal string so
 reports can be serialized without any floating point.
@@ -20,9 +21,9 @@ from __future__ import annotations
 from typing import Callable, Mapping, NamedTuple
 
 from .multiangle import DEFAULT_GRID, tan_addition, tan_beeler, tan_gaussian
-from .symbolic import ReducedPair, YPoly, YZPoly, apply_dz, diff, extract_scaled, reduce_z, reduced_diff
-from .symbolic import r_poly_closed, t_poly_closed, tilde_r_row, tilde_t_row
-from .triangles import m_closed, m_rec, n_closed, n_rec, r_coef, t_coef
+from .symbolic import ReducedPair, YPoly, YZPoly, diff, dz_seq, hoffman_p_seq, hoffman_q_seq, reduce_z
+from .symbolic import r_poly_closed, r_poly_dz_seq, t_poly_closed, t_poly_dz_seq, tilde_r_row, tilde_t_row
+from .triangles import m_closed, m_row_seq, n_closed, n_row_seq, r_coef, t_coef
 
 RTILDE_GOLDEN: tuple[tuple[int, ...], ...] = (
     (1,),
@@ -126,12 +127,12 @@ def verify_rec_vs_closed(max_n: int) -> VerifyReport:
         "form holds on the wider range as well."
     )
     tally = _Tally("corollary", max_n, 1, notes=(note,))
-    for n in range(max_n + 1):
+    for n, m_rec_row, n_rec_row in zip(range(max_n + 1), m_row_seq(), n_row_seq()):
         for k in range(n // 2 + 1):
-            rec, closed = m_rec(n, k), m_closed(n, k)
+            rec, closed = m_rec_row[k], m_closed(n, k)
             tally.check(rec == closed, family="M", n=n, k=k, rec=rec, closed=closed)
         for k in range((n + 1) // 2 + 1):
-            rec, closed = n_rec(n, k), n_closed(n, k)
+            rec, closed = n_rec_row[k], n_closed(n, k)
             tally.check(rec == closed, family="N", n=n, k=k, rec=rec, closed=closed)
     return tally.report()
 
@@ -144,52 +145,46 @@ def verify_operator_expansion(max_n: int) -> VerifyReport:
     y^(n-2k+1) z^(n+2k) with coefficient N(n, k); nothing else may appear.
     """
     tally = _Tally("dz-expansion", max_n, 0)
-    p = YZPoly.z()
-    q = YZPoly.y()
-    for n in range(max_n + 1):
+    for n, p, q in zip(range(max_n + 1), dz_seq(YZPoly.z()), dz_seq(YZPoly.y())):
         got = p.terms()
         want = sorted(((n - 2 * k, n + 2 * k + 1), m_closed(n, k)) for k in range(n // 2 + 1))
         tally.check(got == want, family="M", n=n, got=got, want=want)
         got = q.terms()
         want = sorted(((n - 2 * k + 1, n + 2 * k), n_closed(n, k)) for k in range((n + 1) // 2 + 1))
         tally.check(got == want, family="N", n=n, got=got, want=want)
-        p = apply_dz(p)
-        q = apply_dz(q)
     return tally.report()
 
 
 def verify_hoffman(max_n: int) -> VerifyReport:
     """Check n-fold plain derivatives of y and z against the P and Q recurrences.
 
-    Each route is swept once over n: diff steps y and z, and reduced_diff steps
-    (y, 0) and (0, 1), whose f and g parts at step n are P_n and Q_n.
+    diff steps y and z once per n here; P_n and Q_n come from hoffman_p_seq
+    and hoffman_q_seq, the reduced_diff sequences behind hoffman_p/hoffman_q.
     """
     tally = _Tally("hoffman", max_n, 0)
     dy, dz = YZPoly.y(), YZPoly.z()
-    p, q = ReducedPair(YPoly.y(), YPoly.zero()), ReducedPair(YPoly.zero(), YPoly.one())
-    for n in range(max_n + 1):
-        got, want = reduce_z(dy), p.f
-        tally.check(got == ReducedPair(want, YPoly.zero()), family="P", n=n, got=got, want=want)
-        got, want = reduce_z(dz), q.g
-        tally.check(got == ReducedPair(YPoly.zero(), want), family="Q", n=n, got=got, want=want)
-        dy, dz, p, q = diff(dy), diff(dz), reduced_diff(p), reduced_diff(q)
+    for n, p, q in zip(range(max_n + 1), hoffman_p_seq(), hoffman_q_seq()):
+        if n:
+            dy, dz = diff(dy), diff(dz)
+        got = reduce_z(dy)
+        tally.check(got == ReducedPair(p, YPoly.zero()), family="P", n=n, got=got, want=p)
+        got = reduce_z(dz)
+        tally.check(got == ReducedPair(YPoly.zero(), q), family="Q", n=n, got=got, want=q)
     return tally.report()
 
 
 def verify_closed_forms(max_n: int) -> VerifyReport:
     """Check the binomial closed forms against the operator extraction route.
 
-    Each operator route is swept once over n: apply_dz steps z and y, and each
-    reduced iterate is divided by a running (n-1)!. The closed forms are direct.
+    The operator route is r_poly_dz_seq/t_poly_dz_seq, swept once over n; the
+    closed forms are direct.
     """
     tally = _Tally("theorem2", max_n, 1)
-    on_z, on_y, scale = YZPoly.z(), YZPoly.y(), 1
-    for n in range(1, max_n + 1):
-        closed, operator = r_poly_closed(n), extract_scaled(reduce_z(on_z), n % 2 == 1, scale)
-        tally.check(closed == operator, family="R", n=n, closed=closed, operator=operator)
-        closed, operator = t_poly_closed(n), extract_scaled(reduce_z(on_y), n % 2 == 0, scale)
-        tally.check(closed == operator, family="T", n=n, closed=closed, operator=operator)
-        on_z, on_y, scale = apply_dz(on_z), apply_dz(on_y), scale * n
+    for n, r_operator, t_operator in zip(range(1, max_n + 1), r_poly_dz_seq(), t_poly_dz_seq()):
+        closed = r_poly_closed(n)
+        tally.check(closed == r_operator, family="R", n=n, closed=closed, operator=r_operator)
+        closed = t_poly_closed(n)
+        tally.check(closed == t_operator, family="T", n=n, closed=closed, operator=t_operator)
     return tally.report()
 
 

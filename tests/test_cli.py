@@ -70,6 +70,14 @@ class TestTriangleCommand:
         code, out, _ = run_cli(capsys, "triangle", "--name", "R", "--rows", "3")
         assert code == 0
         assert out.splitlines() == ["", "1", "2"]
+        # the empty row 0 takes no bfile index
+        assert run_cli(capsys, "triangle", "--name", "R", "--rows", "3", "--format", "bfile") == (0, "1 1\n2 2\n", "")
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "bfile"])
+    def test_no_values_print_one_empty_line(self, capsys, fmt):
+        # rows are written as they are made; with no values at all the output
+        # is one empty line
+        assert run_cli(capsys, "triangle", "--name", "R", "--rows", "1", "--format", fmt) == (0, "\n", "")
 
     def test_json_rows(self, capsys):
         code, out, _ = run_cli(capsys, "triangle", "--name", "M", "--rows", "4", "--format", "json")

@@ -24,7 +24,7 @@ from tanpoly.symbolic import (
     ReducedPair,
     YPoly,
     YZPoly,
-    _exact_div,
+    _extract_scaled,
     apply_dz,
     diff,
     dz_iter,
@@ -366,7 +366,10 @@ class TestRTFamilies:
 
     def test_exact_division_guard(self):
         with pytest.raises(InternalInconsistencyError):
-            _exact_div(YPoly({0: 3}), 2)
+            _extract_scaled(ReducedPair(YPoly({0: 3}), YPoly.zero()), False, 2)
+        # the part of the other parity must be zero
+        with pytest.raises(InternalInconsistencyError):
+            _extract_scaled(ReducedPair(YPoly({0: 2}), YPoly({1: 2})), False, 2)
 
 
 class TestVerifySuites:

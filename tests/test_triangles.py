@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from tanpoly import symbolic, triangles
+from tanpoly import symbolic
 from tanpoly.symbolic import tilde_r_row, tilde_t_row
 from tanpoly.triangles import (
     binom,
@@ -120,13 +120,10 @@ class TestMN:
             assert sum(m_row(n)) == math.factorial(n) * 2**n
 
     def test_deep_rows_from_cold_cache(self):
-        # one stack frame per row would pass the interpreter's recursion limit here
+        # built by one sweep; one stack frame per row would pass the recursion limit
         n = 600
-        triangles._mn_row.cache_clear()
         assert m_row(n) == [m_closed(n, k) for k in range(n // 2 + 1)]
-        triangles._mn_row.cache_clear()
         assert n_row(n) == [n_closed(n, k) for k in range((n + 1) // 2 + 1)]
-        triangles._mn_row.cache_clear()
         assert m_rec(n, 0) == m_closed(n, 0)
 
     def test_even_row_edge_is_factorial(self):
@@ -184,6 +181,11 @@ class TestTildeRows:
         assert tilde_r_row(7) == [r7.coefficient(2 * k - 2) for k in range(1, 8)]
         assert tilde_t_row(7) == [t7.coefficient(2 * k - 1) for k in range(1, 8)]
 
-    def test_strided_extraction_rejects_stray_exponents(self):
-        with pytest.raises(symbolic.InternalInconsistencyError):
-            symbolic._strided_coefficients(symbolic.YPoly({0: 1, 1: 1}), 0, 2)
+    def test_rows_are_whole_source_polynomials(self):
+        # The rows are read straight off the closed-form coefficient list, so
+        # each must be the whole source polynomial at y^0, y^2, ... or y^1, y^3, ...
+        for n in range(1, 41):
+            r, t = symbolic.r_poly_closed(n), symbolic.t_poly_closed(n)
+            even, odd = (r, t) if n % 2 else (t, r)
+            assert symbolic.YPoly({2 * k: c for k, c in enumerate(tilde_r_row(n))}) == even
+            assert symbolic.YPoly({2 * k + 1: c for k, c in enumerate(tilde_t_row(n))}) == odd

@@ -95,21 +95,59 @@ def plus_one(value):
     return value + 1
 
 
-# suite: (name the suite reads in tanpoly.verify, the arguments at which it
-# returns a wrong value, how the value is spoiled, checked at max_n = 7,
-# the one failure record expected, keys in order). The hoffman entry spoils
-# the step to P_3 and the theorem2 entry the extraction of R_4.
+def inject(at, spoil):
+    """A patch that makes a function return a spoiled value at the arguments `at`.
+
+    A sweep hands that value back to take its next step; the step is taken
+    from the right value instead, so only the value compared at one n is wrong.
+    """
+
+    def patch(real):
+        right = real(*at)
+        wrong = spoil(right)
+
+        def patched(*args):
+            if args == at:
+                return wrong
+            return real(*((right,) if args == (wrong,) else args))
+
+        return patched
+
+    return patch
+
+
+def spoil_row(n, k):
+    """A patch for a row sequence that adds 1 to entry k of row n.
+
+    Each call starts a fresh sequence: the suite is run twice, and a sequence
+    made once would be used up by the first run.
+    """
+
+    def patch(real):
+        def patched():
+            for i, row in enumerate(real()):
+                yield row[:k] + [row[k] + 1] + row[k + 1 :] if i == n else row
+
+        return patched
+
+    return patch
+
+
+# suite: (module and name of the function spoiled, the patch, checked at
+# max_n = 7, the one failure record expected, keys in order). The hoffman
+# entry spoils the step to P_3 and the theorem2 entry the extraction of R_4;
+# both live in symbolic, behind hoffman_p and r_poly_dz.
 FAULTS = {
     "rt-recurrences": (
-        "r_coef", (8, 2), plus_one, 60,
+        verify, "r_coef", inject((8, 2), plus_one), 60,
         {"family": "R", "n": "7", "k": "2", "lhs": "399", "rhs": "392"},
     ),
     "corollary": (
-        "m_rec", (3, 1), plus_one, 44,
+        verify, "m_row_seq", spoil_row(3, 1), 44,
         {"family": "M", "n": "3", "k": "1", "rec": "25", "closed": "24"},
     ),
     "dz-expansion": (
-        "m_closed", (3, 1), plus_one, 16,
+        verify, "m_closed", inject((3, 1), plus_one), 16,
         {
             "family": "M",
             "n": "3",
@@ -118,8 +156,9 @@ FAULTS = {
         },
     ),
     "hoffman": (
-        "reduced_diff", (ReducedPair(YPoly({1: 2, 3: 2}), YPoly.zero()),),
-        lambda pair: pair._replace(f=pair.f + YPoly.one()), 16,
+        symbolic, "reduced_diff",
+        inject((ReducedPair(YPoly({1: 2, 3: 2}), YPoly.zero()),), lambda pair: pair._replace(f=pair.f + YPoly.one())),
+        16,
         {
             "family": "P",
             "n": "3",
@@ -128,7 +167,7 @@ FAULTS = {
         },
     ),
     "theorem2": (
-        "extract_scaled", (reduce_z(dz_iter(3, YZPoly.z())), False, 6), lambda p: p + YPoly.y(), 14,
+        symbolic, "_extract_scaled", inject((reduce_z(dz_iter(3, YZPoly.z())), False, 6), lambda p: p + YPoly.y()), 14,
         {
             "family": "R",
             "n": "4",
@@ -137,31 +176,20 @@ FAULTS = {
         },
     ),
     "tables": (
-        "tilde_r_row", (3,), lambda row: row[:-1] + [row[-1] + 1], 10,
+        verify, "tilde_r_row", inject((3,), lambda row: row[:-1] + [row[-1] + 1]), 10,
         {"family": "Rtilde", "n": "3", "got": "[1, 5, 5]", "want": "[1, 5, 4]"},
     ),
     "beeler": (
-        "tan_addition", (2, Rational(1, 2)), lambda value: TanValue(Rational(0)), 104,
+        verify, "tan_addition", inject((2, Rational(1, 2)), lambda value: TanValue(Rational(0))), 104,
         {"n": "2", "t": "1/2", "beeler": "4/3", "addition": "0", "gaussian": "4/3"},
     ),
 }
 
 
-def inject(real, at, spoil):
-    """`real` returning a spoiled value at the arguments `at`.
-
-    A sweep hands that value back to take its next step; the step is taken
-    from the right value instead, so only the value compared at one n is wrong.
-    """
-    right = real(*at)
-    wrong = spoil(right)
-
-    def patched(*args):
-        if args == at:
-            return wrong
-        return real(*((right,) if args == (wrong,) else args))
-
-    return patched
+def json_failures(suite, capsys):
+    """The failure records of `verify --suite <suite> --max-n 7 --json`, which must exit 1."""
+    assert cli.main(["verify", "--suite", suite, "--max-n", "7", "--json"]) == 1
+    return [list(f.items()) for f in json.loads(capsys.readouterr().out)["reports"][0]["failures"]]
 
 
 class TestFailureRecords:
@@ -170,45 +198,79 @@ class TestFailureRecords:
 
     @pytest.mark.parametrize("suite", sorted(FAULTS))
     def test_one_wrong_value(self, suite, monkeypatch, capsys):
-        name, at, spoil, checked, record = FAULTS[suite]
+        module, name, patch, checked, record = FAULTS[suite]
         assert run_suite(suite, 7).checked == checked
-        monkeypatch.setattr(verify, name, inject(getattr(verify, name), at, spoil))
+        monkeypatch.setattr(module, name, patch(getattr(module, name)))
 
         report = run_suite(suite, 7)
         assert report.checked == checked
         assert [list(f.items()) for f in report.failures] == [list(record.items())]
+        assert json_failures(suite, capsys) == [list(record.items())]
 
-        assert cli.main(["verify", "--suite", suite, "--max-n", "7", "--json"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert [list(f.items()) for f in doc["reports"][0]["failures"]] == [list(record.items())]
+
+class TestOneRoutePerFamily:
+    """The suites sweep the sequences behind the per-n functions, so one wrong
+    step in symbolic shows in both; a suite that stepped its own copy would pass."""
+
+    def test_hoffman_and_poly_p_share_reduced_diff(self, monkeypatch, capsys):
+        module, name, patch, _, record = FAULTS["hoffman"]
+        monkeypatch.setattr(module, name, patch(getattr(module, name)))
+        assert cli.main(["poly", "--family", "P", "--n", "3"]) == 0
+        assert capsys.readouterr().out == "3 + 8y^2 + 6y^4\n"
+        assert json_failures("hoffman", capsys) == [list(record.items())]
+
+    def test_theorem2_and_r_poly_dz_share_apply_dz(self, monkeypatch, capsys):
+        # the step to the third iterate on z, which R_4 is extracted from
+        patch = inject((dz_iter(2, YZPoly.z()),), lambda p: p + 6 * YZPoly.y())
+        monkeypatch.setattr(symbolic, "apply_dz", patch(symbolic.apply_dz))
+        assert str(symbolic.r_poly_dz(4)) == "5y + 16y^3 + 20y^5 + 8y^7"
+        assert json_failures("theorem2", capsys) == [list(FAULTS["theorem2"][-1].items())]
 
 
 class TestLinearWork:
-    """The hoffman and theorem2 routes take one operator step per n, not n steps."""
+    """The swept routes take one operator step per n, not n steps, and none
+    past max_n."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        # Counted in both modules: verify steps the routes itself, while
-        # hoffman_p/q, r_poly_dz/t_poly_dz and apply_dz reach them in symbolic.
+        # symbolic steps the sequences; verify steps the plain diff route of hoffman.
         calls = Counter()
-        for name in ("diff", "apply_dz", "reduced_diff"):
-            real = getattr(symbolic, name)
+        for module, name in ((symbolic, "diff"), (symbolic, "apply_dz"), (symbolic, "reduced_diff"), (verify, "diff")):
+            real = getattr(module, name)
 
             def counted(*args, name=name, real=real):
                 calls[name] += 1
                 return real(*args)
 
-            for module in (symbolic, verify):
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(module, name, counted)
         return calls
+
+    @pytest.mark.parametrize("m", [7, 30])
+    def test_dz_expansion(self, calls, m):
+        # Each apply_dz takes one diff.
+        assert verify.verify_operator_expansion(m).passed
+        assert calls == {"apply_dz": 2 * m, "diff": 2 * m}
 
     @pytest.mark.parametrize("m", [7, 30])
     def test_hoffman(self, calls, m):
         assert verify.verify_hoffman(m).passed
-        assert calls == {"diff": 2 * (m + 1), "reduced_diff": 2 * (m + 1)}
+        assert calls == {"diff": 2 * m, "reduced_diff": 2 * m}
 
     @pytest.mark.parametrize("m", [7, 30])
     def test_theorem2(self, calls, m):
-        # Each apply_dz takes one diff.
         assert verify.verify_closed_forms(m).passed
-        assert calls == {"apply_dz": 2 * m, "diff": 2 * m}
+        assert calls == {"apply_dz": 2 * (m - 1), "diff": 2 * (m - 1)}
+
+    @pytest.mark.parametrize("m", [7, 30])
+    def test_corollary(self, monkeypatch, m):
+        drawn = Counter()
+        for name in ("m_row_seq", "n_row_seq"):
+
+            def counted(name=name, real=getattr(verify, name)):
+                for row in real():
+                    drawn[name] += 1
+                    yield row
+
+            monkeypatch.setattr(verify, name, counted)
+        assert verify.verify_rec_vs_closed(m).passed
+        assert drawn == {"m_row_seq": m + 1, "n_row_seq": m + 1}
