@@ -54,8 +54,10 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
     # Rows are drawn and written one at a time, so memory holds one row.
     rows = islice(rows_fn(), args.rows)
     if args.format == "json":
-        rows = [[str(v) for v in row] for row in rows]
-        print(json.dumps({"name": args.name, "first_row": first, "rows": rows}))
+        sys.stdout.write(f'{{"name": {json.dumps(args.name)}, "first_row": {first}, "rows": [')
+        for i, row in enumerate(rows):
+            sys.stdout.write((", " if i else "") + json.dumps([str(v) for v in row]))
+        print("]}")
     elif args.format == "bfile":
         index = count(1)  # zip(row, index): zip(index, row) skips one at each row end
         for row in rows:

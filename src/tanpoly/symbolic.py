@@ -16,9 +16,10 @@ the R_n and T_n closed forms (tilde_r_row, tilde_t_row).
 
 Each iterated route is one lazy sequence, which takes a step only when its
 next item is drawn: dz_seq (apply_dz), hoffman_p_seq/hoffman_q_seq
-(reduced_diff) and r_poly_dz_seq/t_poly_dz_seq (reduce, extract, divide by
-a running (n-1)!). dz_iter, hoffman_p/q and r_poly_dz/t_poly_dz return
-item n of theirs, and the verify suites sweep them.
+(reduced_diff) and r_poly_dz_seq/t_poly_dz_seq (dz_seq mapped through
+_dz_member: reduce, extract, divide by (n-1)!). dz_iter and hoffman_p/q
+return item n of theirs; r_poly_dz/t_poly_dz apply _dz_member once to
+dz_iter, so they reduce one iterate. The verify suites sweep the sequences.
 
 YZPoly is a sparse integer polynomial in the commuting variables y and z;
 YPoly is the same in y alone. Both share one ring implementation and differ
@@ -36,8 +37,9 @@ ascending y-exponent, then ascending z-exponent.
 
 from __future__ import annotations
 
+import math
 import operator
-from itertools import islice
+from itertools import count, islice, repeat
 from typing import Iterator, Mapping, NamedTuple
 
 from .triangles import r_coef, t_coef
@@ -97,18 +99,6 @@ class _SparsePoly:
         return type(self)(self._product(other._coef))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative exponent")
-        result = type(self).one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
@@ -198,9 +188,6 @@ class YZPoly(_SparsePoly):
     def z(cls) -> YZPoly:
         return cls({(0, 1): 1})
 
-    def coefficient(self, a: int, b: int) -> int:
-        return self._coef.get((a, b), 0)
-
     def __call__(self, y_value, z_value):
         """Evaluate at any values supporting + and * (exact or symbolic)."""
         result = 0
@@ -214,10 +201,6 @@ class YZPoly(_SparsePoly):
             for (a2, b2), c2 in other.items():
                 _add(product, (a + a2, b + b2), c * c2)
         return product
-
-    def serialize(self) -> list[list]:
-        """[[y-exp, z-exp, coefficient-as-decimal-string], ...] in canonical order."""
-        return [[a, b, str(c)] for (a, b), c in self.terms()]
 
     @staticmethod
     def _monomial(key: tuple[int, int]) -> str:
@@ -421,31 +404,32 @@ def r_poly_dz_seq() -> Iterator[YPoly]:
     or z part (odd n) of the reduced (n-1)-th iterate, divided by (n-1)!. A
     nonzero other part or an inexact division raises InternalInconsistencyError,
     since the parity structure would be broken; nothing is truncated or rounded."""
-    return _dz_family_seq(YZPoly.z(), 1)
+    return map(_dz_member, count(1), dz_seq(YZPoly.z()), repeat(1))
 
 
 def t_poly_dz_seq() -> Iterator[YPoly]:
     """T_1, T_2, ... from the iterates on y, with the parity of r_poly_dz_seq
     reversed: odd n sits on the z-free part, even n on the z part."""
-    return _dz_family_seq(YZPoly.y(), 0)
-
-
-def _dz_family_seq(seed: YZPoly, odd: int) -> Iterator[YPoly]:
-    """Members 1, 2, ...: member n on the z part if n % 2 == odd, scale (n-1)!."""
-    scale = 1
-    for n, p in enumerate(dz_seq(seed), start=1):
-        yield _extract_scaled(reduce_z(p), n % 2 == odd, scale)
-        scale *= n
+    return map(_dz_member, count(1), dz_seq(YZPoly.y()), repeat(0))
 
 
 def r_poly_dz(n: int) -> YPoly:
     """R_n by the operator route, item n-1 of r_poly_dz_seq, for n >= 1."""
-    return _item(r_poly_dz_seq(), n, 1)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return _dz_member(n, dz_iter(n - 1, YZPoly.z()), 1)
 
 
 def t_poly_dz(n: int) -> YPoly:
     """T_n by the operator route, item n-1 of t_poly_dz_seq, for n >= 1."""
-    return _item(t_poly_dz_seq(), n, 1)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return _dz_member(n, dz_iter(n - 1, YZPoly.y()), 0)
+
+
+def _dz_member(n: int, p: YZPoly, odd: int) -> YPoly:
+    """Member n from the (n-1)-th iterate p: on the z part if n % 2 == odd, scale (n-1)!."""
+    return _extract_scaled(reduce_z(p), n % 2 == odd, math.factorial(n - 1))
 
 
 def _extract_scaled(pair: ReducedPair, z_part: bool, scale: int) -> YPoly:

@@ -384,6 +384,21 @@ class TestLargeOutputs:
                 "4412b286e365f285c10654e345fb7fd1584551446721b56ebe5e1ec513bab871",
                 id="T-999-table",
             ),
+            pytest.param(
+                ("triangle", "--name", "Rtilde", "--rows", "300", "--format", "json"),
+                "9ec27e4f86bbe1f9bb93bbc8389a335c39576413d79d27df382e3ddfdfcc3c70",
+                id="Rtilde-300-json",
+            ),
+            pytest.param(
+                ("triangle", "--name", "R", "--rows", "3", "--format", "json"),
+                "3b4dfb7a91a59041210dc67f3c92303932c34da723ba0feccc994693c6fd8140",
+                id="R-3-json",
+            ),
+            pytest.param(
+                ("triangle", "--name", "M", "--rows", "60", "--format", "json"),
+                "0b376f43f75d800611dea4af749c9eab008cf565048fbcdeba17778a7202793c",
+                id="M-60-json",
+            ),
         ],
     )
     def test_large_output_digest(self, capsys, argv, digest):
@@ -394,13 +409,23 @@ class TestLargeOutputs:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
-    def test_r_family_peak_memory(self):
+    @pytest.mark.parametrize(
+        "argv, bound_mb",
+        [
+            pytest.param(("poly", "--family", "R", "--n", "2000"), 100, id="R-2000"),
+            # streamed row by row; a whole-document build peaks at 32 MB
+            pytest.param(
+                ("triangle", "--name", "Rtilde", "--rows", "300", "--format", "json"), 24, id="Rtilde-300-json"
+            ),
+        ],
+    )
+    def test_r_family_peak_memory(self, argv, bound_mb):
         # A child's ru_maxrss starts at its parent's RSS when it was spawned,
         # so the run is started and waited for by a small interpreter, not
         # by the test process.
         launcher = (
             "import os, subprocess, sys\n"
-            "argv = [sys.executable, '-m', 'tanpoly', 'poly', '--family', 'R', '--n', '2000']\n"
+            f"argv = [sys.executable, '-m', 'tanpoly', *{list(argv)!r}]\n"
             "pid = subprocess.Popen(argv, stdout=subprocess.DEVNULL).pid\n"
             "_, status, usage = os.wait4(pid, 0)\n"
             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
@@ -413,4 +438,4 @@ class TestLargeOutputs:
         assert code == 0
         # ru_maxrss is in bytes on macOS and in KiB elsewhere
         peak = maxrss if sys.platform == "darwin" else maxrss * 1024
-        assert peak < 100 * 2**20
+        assert peak < bound_mb * 2**20

@@ -152,7 +152,6 @@ class TestPolyBasics:
         assert p * p == YPoly({0: 1, 2: 2, 4: 1})
         assert p - p == YPoly.zero()
         assert 3 * p == YPoly({0: 3, 2: 3})
-        assert p**3 == p * p * p
 
     def test_str_rendering(self):
         assert str(YPoly.zero()) == "0"
@@ -163,18 +162,16 @@ class TestPolyBasics:
 
     def test_serialize_canonical_order(self):
         assert YPoly({3: 2, 1: 2}).serialize() == [[1, "2"], [3, "2"]]
-        assert YZPoly({(2, 3): 6, (0, 5): 2}).serialize() == [[0, 5, "2"], [2, 3, "6"]]
 
     def test_terms_sorted(self):
         p = YZPoly({(1, 2): 1, (0, 3): 1, (1, 0): 1})
         assert [key for key, _ in p.terms()] == [(0, 3), (1, 0), (1, 2)]
 
-    @given(y_polys, y_polys, st.integers(0, 4))
-    def test_y_ring_matches_z_free_embedding(self, f, g, k):
+    @given(y_polys, y_polys)
+    def test_y_ring_matches_z_free_embedding(self, f, g):
         assert z_free(f * g) == z_free(f) * z_free(g)
         assert z_free(f + g) == z_free(f) + z_free(g)
         assert z_free(f - g) == z_free(f) - z_free(g)
-        assert z_free(f**k) == z_free(f) ** k
 
     def test_evaluation(self):
         p = YPoly({0: 1, 2: 2})

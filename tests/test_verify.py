@@ -274,3 +274,22 @@ class TestLinearWork:
             monkeypatch.setattr(verify, name, counted)
         assert verify.verify_rec_vs_closed(m).passed
         assert drawn == {"m_row_seq": m + 1, "n_row_seq": m + 1}
+
+
+class TestOneReductionPerCall:
+    """r_poly_dz(n)/t_poly_dz(n) step the operator n-1 times and reduce and
+    extract only the last iterate."""
+
+    @pytest.mark.parametrize("fn", [symbolic.r_poly_dz, symbolic.t_poly_dz], ids=["R", "T"])
+    @pytest.mark.parametrize("m", [7, 30])
+    def test_per_n_call(self, monkeypatch, fn, m):
+        calls = Counter()
+        for name in ("reduce_z", "_extract_scaled", "apply_dz"):
+
+            def counted(*args, name=name, real=getattr(symbolic, name)):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(symbolic, name, counted)
+        fn(m)
+        assert calls == {"reduce_z": 1, "_extract_scaled": 1, "apply_dz": m - 1}
