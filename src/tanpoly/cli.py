@@ -27,8 +27,8 @@ _TRIANGLES = {
     "T": (lambda: map(triangles.t_row, count(0)), 0, None),
     "M": (triangles.m_row_seq, 0, 60),
     "N": (triangles.n_row_seq, 0, 60),
-    "Rtilde": (lambda: map(symbolic.tilde_r_row, count(1)), 1, None),
-    "Ttilde": (lambda: map(symbolic.tilde_t_row, count(1)), 1, None),
+    "Rtilde": (symbolic.tilde_r_row_seq, 1, None),
+    "Ttilde": (symbolic.tilde_t_row_seq, 1, None),
 }
 
 _FAMILIES = {

@@ -11,25 +11,30 @@ polynomial families:
     R_n, T_n   factorial-normalized reductions of the iterated weighted
                operator applied to z and to y
 
-The rows of the Rtilde and Ttilde triangles are the coefficient lists of
-the R_n and T_n closed forms (tilde_r_row, tilde_t_row).
+Row n of the Rtilde and Ttilde triangles holds the coefficients of R_n and
+T_n at even or odd powers of y (tilde_r_row_seq, tilde_t_row_seq).
 
 Each iterated route is one lazy sequence, which takes a step only when its
 next item is drawn: dz_seq (apply_dz), hoffman_p_seq/hoffman_q_seq
-(reduced_diff) and r_poly_dz_seq/t_poly_dz_seq (dz_seq mapped through
-_dz_member: reduce, extract, divide by (n-1)!). dz_iter and hoffman_p/q
-return item n of theirs; r_poly_dz/t_poly_dz apply _dz_member once to
-dz_iter, so they reduce one iterate. The verify suites sweep the sequences.
+(_hoffman_step on parity-stride rows), tilde_r_row_seq/tilde_t_row_seq (the
+Fibonacci-type recurrence of R_n and T_n) and r_poly_dz_seq/t_poly_dz_seq
+(dz_seq mapped through _dz_member: reduce, extract, divide by (n-1)!).
+dz_iter, hoffman_p/q and tilde_r_row/tilde_t_row return item n of theirs;
+r_poly_dz/t_poly_dz apply _dz_member once to dz_iter, so they reduce one
+iterate. The verify suites sweep the sequences.
 
 YZPoly is a sparse integer polynomial in the commuting variables y and z;
 YPoly is the same in y alone. Both share one ring implementation and differ
 only in the monomial key, the product, evaluation and rendering.
 ReducedPair (f, g) is the canonical representative f(y) + z*g(y) of a
-YZPoly in the quotient ring Z[y, z]/(z^2 - 1 - y^2). P_n and Q_n are built
-by the derivation on such pairs and R_n, T_n by Horner's rule in
-w = 1 + y^2 on their binomial closed forms, so neither route shares the
-z-side derivation or reduction it is checked against. All values are
-immutable and functions are pure; nothing here uses floating point.
+YZPoly in the quotient ring Z[y, z]/(z^2 - 1 - y^2); reduced_diff is the
+derivation on such pairs. P_n and Q_n are stepped as dense rows of one
+parity, where row[i] is the coefficient of y^(2i+e), and made YPoly only
+when drawn. R_n, T_n come three ways that share no code: Horner's rule in
+w = 1 + y^2 on their binomial closed forms (r_poly_closed, t_poly_closed),
+the z-side operator route (r_poly_dz, t_poly_dz) and the recurrence rows.
+All values are immutable and functions are pure; nothing here uses
+floating point.
 
 Canonical monomial order for iteration, display, and serialization:
 ascending y-exponent, then ascending z-exponent.
@@ -39,7 +44,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import count, islice, repeat
+from itertools import chain, count, islice, pairwise, repeat, starmap
 from typing import Iterator, Mapping, NamedTuple
 
 from .triangles import r_coef, t_coef
@@ -317,32 +322,53 @@ def reduced_diff(pair: ReducedPair) -> ReducedPair:
     return ReducedPair(YPoly(f), YPoly(g))
 
 
-def hoffman_p_seq() -> Iterator[YPoly]:
-    """P_0, P_1, ...: the f parts of reduced_diff iterated from (y, 0)."""
-    pair = ReducedPair(YPoly.y(), YPoly.zero())
+def _hoffman_step(row: list[int], e: int, s: int) -> list[int]:
+    """One derivative step on a parity-stride row, row[i] the coefficient of
+    y^(2i+e): c*y^a -> a*c*y^(a-1) + (a+s)*c*y^(a+1), with s = 0 for P and
+    s = 1 for Q. The result has parity 1 - e. Entry j sums the a*c of its two
+    neighbours, so each a*c is made once and fed to both through pairwise; s
+    adds the old row one place up. For e = 0 the first sum holds only 0*c and
+    is dropped."""
+    sums = starmap(operator.add, pairwise(chain((0,), map(operator.mul, count(e, 2), row), (0,))))
+    if s:
+        sums = map(operator.add, sums, chain((0,), row))
+    return list(islice(sums, 1 - e, None))
+
+
+def _hoffman_rows(e: int, s: int) -> Iterator[tuple[list[int], int]]:
+    """(row, parity) of member 0, 1, ... from the row [1] (y^e), by _hoffman_step."""
+    row = [1]
     while True:
-        yield pair.f
-        pair = reduced_diff(pair)
+        yield row, e
+        row = _hoffman_step(row, e, s)
+        e = 1 - e
+
+
+def _stride_poly(row: list[int], e: int) -> YPoly:
+    """The YPoly of a parity-stride row."""
+    return YPoly(dict(zip(count(e, 2), row)))
+
+
+def hoffman_p_seq() -> Iterator[YPoly]:
+    """P_0, P_1, ...: the rows stepped from P_0 = y."""
+    return starmap(_stride_poly, _hoffman_rows(1, 0))
 
 
 def hoffman_q_seq() -> Iterator[YPoly]:
-    """Q_0, Q_1, ...: the g parts of reduced_diff iterated from (0, 1)."""
-    pair = ReducedPair(YPoly.zero(), YPoly.one())
-    while True:
-        yield pair.g
-        pair = reduced_diff(pair)
+    """Q_0, Q_1, ...: the rows stepped from Q_0 = 1."""
+    return starmap(_stride_poly, _hoffman_rows(0, 1))
 
 
 def hoffman_p(n: int) -> YPoly:
     """Derivative polynomial of the tangent, item n of hoffman_p_seq:
     P_0 = y, P_{k+1} = (1+y^2) P_k'."""
-    return _item(hoffman_p_seq(), n, 0)
+    return _stride_poly(*_item(_hoffman_rows(1, 0), n, 0))
 
 
 def hoffman_q(n: int) -> YPoly:
     """Derivative polynomial of the secant, item n of hoffman_q_seq:
     Q_0 = 1, Q_{k+1} = (1+y^2) Q_k' + y Q_k."""
-    return _item(hoffman_q_seq(), n, 0)
+    return _stride_poly(*_item(_hoffman_rows(0, 1), n, 0))
 
 
 def r_poly_closed(n: int) -> YPoly:
@@ -381,22 +407,57 @@ def _binomial_closed_form(n: int, odd: int) -> list[int]:
     return acc
 
 
-def tilde_r_row(n: int) -> list[int]:
-    """Row n >= 1 of the Rtilde triangle: coefficients of y^0, y^2, ..., y^(2n-2).
+def _tilde_rows() -> Iterator[tuple[list[int], list[int]]]:
+    """(Rtilde row n, Ttilde row n) for n = 1, 2, ... by the Fibonacci-type
+    recurrence of R_n and T_n, with w = 1 + y^2:
 
-    The source polynomial is the even-index T family for even n and the
-    odd-index R family for odd n; rows 1..5 reproduce A056242.
+        X_{n+1} = w * (2y X_n + X_{n-1})   if n % 2 == odd,
+        X_{n+1} = 2y X_n + w X_{n-1}       otherwise,
+
+    where R takes odd = 1 from (R_1, R_2) = (1, 2y + 2y^3) and T takes
+    odd = 0 from (T_1, T_2) = (y, 1 + 2y^2). Row n of Rtilde holds R_n for
+    odd n and T_n for even n, Ttilde the other one, so at every n the first
+    rule makes Ttilde and the second Rtilde:
+
+        Rtilde_{n+1} = 2y Ttilde_n + w Rtilde_{n-1}
+        Ttilde_{n+1} = w * (2y Rtilde_n + Ttilde_{n-1})
+
+    On the rows, y times a Ttilde row (odd powers) is a 0 put in front, y
+    times an Rtilde row (even powers) is the same list, and w times a list
+    is one shift-add. Row n has n entries, so the shorter list is padded
+    before each elementwise add.
     """
-    return _binomial_closed_form(n, n % 2)
+    r_prev, t_prev, r, t = [1], [1], [1, 2], [2, 2]
+    yield r_prev, t_prev
+    while True:
+        yield r, t
+        w_r_prev = list(map(operator.add, r_prev + [0], [0] + r_prev))
+        sum_t = list(map(operator.add, map(operator.add, r, r), t_prev + [0]))
+        r_prev, t_prev = r, t
+        r = list(map(operator.add, [0, *map(operator.add, t, t)], w_r_prev + [0]))
+        t = list(map(operator.add, sum_t + [0], [0] + sum_t))
+
+
+def tilde_r_row_seq() -> Iterator[list[int]]:
+    """Rows 1, 2, ... of the Rtilde triangle, coefficients of y^0, y^2, ...,
+    y^(2n-2): R_n for odd n and T_n for even n; rows 1..5 reproduce A056242."""
+    return map(operator.itemgetter(0), _tilde_rows())
+
+
+def tilde_t_row_seq() -> Iterator[list[int]]:
+    """Rows 1, 2, ... of the Ttilde triangle, coefficients of y^1, y^3, ...,
+    y^(2n-1): T_n for odd n and R_n for even n; rows 1..5 reproduce A210753."""
+    return map(operator.itemgetter(1), _tilde_rows())
+
+
+def tilde_r_row(n: int) -> list[int]:
+    """Row n >= 1 of the Rtilde triangle, item n of tilde_r_row_seq."""
+    return _item(tilde_r_row_seq(), n, 1)
 
 
 def tilde_t_row(n: int) -> list[int]:
-    """Row n >= 1 of the Ttilde triangle: coefficients of y^1, y^3, ..., y^(2n-1).
-
-    The source polynomial is the even-index R family for even n and the
-    odd-index T family for odd n; rows 1..5 reproduce A210753.
-    """
-    return _binomial_closed_form(n, 1 - n % 2)
+    """Row n >= 1 of the Ttilde triangle, item n of tilde_t_row_seq."""
+    return _item(tilde_t_row_seq(), n, 1)
 
 
 def r_poly_dz_seq() -> Iterator[YPoly]:

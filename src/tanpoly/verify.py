@@ -22,7 +22,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from .multiangle import DEFAULT_GRID, tan_addition, tan_beeler, tan_gaussian
 from .symbolic import ReducedPair, YPoly, YZPoly, diff, dz_seq, hoffman_p_seq, hoffman_q_seq, reduce_z
-from .symbolic import r_poly_closed, r_poly_dz_seq, t_poly_closed, t_poly_dz_seq, tilde_r_row, tilde_t_row
+from .symbolic import r_poly_closed, r_poly_dz_seq, t_poly_closed, t_poly_dz_seq, tilde_r_row_seq, tilde_t_row_seq
 from .triangles import m_closed, m_row_seq, n_closed, n_row_seq, r_coef, t_coef
 
 RTILDE_GOLDEN: tuple[tuple[int, ...], ...] = (
@@ -174,32 +174,43 @@ def verify_hoffman(max_n: int) -> VerifyReport:
 
 
 def verify_closed_forms(max_n: int) -> VerifyReport:
-    """Check the binomial closed forms against the operator extraction route.
+    """Check the binomial closed forms against the operator extraction route
+    and against the recurrence rows of the tilde triangles.
 
-    The operator route is r_poly_dz_seq/t_poly_dz_seq, swept once over n; the
-    closed forms are direct.
+    The operator route is r_poly_dz_seq/t_poly_dz_seq and the recurrence is
+    tilde_r_row_seq/tilde_t_row_seq, each swept once over n; the closed forms
+    are direct. Row n of Rtilde is compared with the coefficients of y^0,
+    y^2, ..., y^(2n-2) of R_n (odd n) or T_n (even n), and row n of Ttilde
+    with those of y^1, ..., y^(2n-1) of the other one.
     """
     tally = _Tally("theorem2", max_n, 1)
-    for n, r_operator, t_operator in zip(range(1, max_n + 1), r_poly_dz_seq(), t_poly_dz_seq()):
-        closed = r_poly_closed(n)
-        tally.check(closed == r_operator, family="R", n=n, closed=closed, operator=r_operator)
-        closed = t_poly_closed(n)
-        tally.check(closed == t_operator, family="T", n=n, closed=closed, operator=t_operator)
+    routes = zip(range(1, max_n + 1), r_poly_dz_seq(), t_poly_dz_seq(), tilde_r_row_seq(), tilde_t_row_seq())
+    for n, r_operator, t_operator, r_tilde, t_tilde in routes:
+        r_closed, t_closed = r_poly_closed(n), t_poly_closed(n)
+        tally.check(r_closed == r_operator, family="R", n=n, closed=r_closed, operator=r_operator)
+        tally.check(t_closed == t_operator, family="T", n=n, closed=t_closed, operator=t_operator)
+        even, odd = (r_closed, t_closed) if n % 2 else (t_closed, r_closed)
+        closed = [even.coefficient(a) for a in range(0, 2 * n, 2)]
+        tally.check(closed == r_tilde, family="Rtilde", n=n, closed=closed, recurrence=r_tilde)
+        closed = [odd.coefficient(a) for a in range(1, 2 * n, 2)]
+        tally.check(closed == t_tilde, family="Ttilde", n=n, closed=closed, recurrence=t_tilde)
     return tally.report()
 
 
 def verify_tables(max_n: int = 5) -> VerifyReport:
-    """Compare computed Rtilde/Ttilde rows with the golden rows.
+    """Compare the Rtilde/Ttilde rows of tilde_r_row_seq/tilde_t_row_seq with
+    the golden rows.
 
     Golden data covers rows 1..5; larger max_n checks the same five rows
     per family (rows beyond 5 are covered by the cross-method suites).
     """
     tally = _Tally("tables", max_n, 1)
-    for n in range(1, min(max_n, len(RTILDE_GOLDEN)) + 1):
-        got, want = tilde_r_row(n), list(RTILDE_GOLDEN[n - 1])
-        tally.check(got == want, family="Rtilde", n=n, got=got, want=want)
-        got, want = tilde_t_row(n), list(TTILDE_GOLDEN[n - 1])
-        tally.check(got == want, family="Ttilde", n=n, got=got, want=want)
+    rows = zip(range(1, min(max_n, len(RTILDE_GOLDEN)) + 1), tilde_r_row_seq(), tilde_t_row_seq())
+    for n, r_row, t_row in rows:
+        want = list(RTILDE_GOLDEN[n - 1])
+        tally.check(r_row == want, family="Rtilde", n=n, got=r_row, want=want)
+        want = list(TTILDE_GOLDEN[n - 1])
+        tally.check(t_row == want, family="Ttilde", n=n, got=t_row, want=want)
     return tally.report()
 
 

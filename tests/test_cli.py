@@ -357,7 +357,7 @@ class TestFuzz:
         code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-n", "60", "--json")
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "6876d287843968b0521ea105e83a60ca9b3d640f6a197dd9b26c0643c2331f5d"
+        assert digest == "972dd159d6fbe2f668437cd661f99ba71856739a10b935a637abf6b43b217085"
 
 
 class TestLargeOutputs:
@@ -389,6 +389,32 @@ class TestLargeOutputs:
                 "9ec27e4f86bbe1f9bb93bbc8389a335c39576413d79d27df382e3ddfdfcc3c70",
                 id="Rtilde-300-json",
             ),
+            # the next three are also digests of the benchmark's emit check
+            pytest.param(
+                ("poly", "--family", "P", "--n", "1500", "--format", "json"),
+                "8bc24e96c2b5cfb474202917757c8f65468bf493cbb8031ac032a413ba1a8a1f",
+                id="P-1500-json",
+            ),
+            pytest.param(
+                ("poly", "--family", "Q", "--n", "800"),
+                "07bf471916a0aad295351a1a460d512c982cd86a0c00744c5825f6cf5fbd0b3b",
+                id="Q-800-table",
+            ),
+            pytest.param(
+                ("triangle", "--name", "Rtilde", "--rows", "200", "--format", "bfile"),
+                "ec238df576a7cb88e24968b0d3d55a94c0d192f73d428c856954a4463f451c95",
+                id="Rtilde-200-bfile",
+            ),
+            pytest.param(
+                ("poly", "--family", "Q", "--n", "801", "--format", "csv"),
+                "5afa16b5c77ae6aa067af0ac8c30aa5335cfef865570720720c710cca3af15f2",
+                id="Q-801-csv",
+            ),
+            pytest.param(
+                ("triangle", "--name", "Ttilde", "--rows", "301", "--format", "csv"),
+                "38c9cf5d5df4a60884b4cc2804ecc0867f88cc16791910675e581e4fa744ff63",
+                id="Ttilde-301-csv",
+            ),
             pytest.param(
                 ("triangle", "--name", "R", "--rows", "3", "--format", "json"),
                 "3b4dfb7a91a59041210dc67f3c92303932c34da723ba0feccc994693c6fd8140",
@@ -402,8 +428,8 @@ class TestLargeOutputs:
         ],
     )
     def test_large_output_digest(self, capsys, argv, digest):
-        # Large closed-form R/T and tilde outputs; the benchmark's emit check
-        # covers only Rtilde to 200 rows, and no other test goes this far.
+        # Large P/Q, closed-form R/T and tilde outputs; no other test goes
+        # this far.
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -3,14 +3,16 @@
 The oracles here share no code with the package: hypothesis properties
 for the algebraic laws; exact evaluation at rational points of
 z^2 = 1 + y^2 for the reduction; a Fibonacci-type recurrence on plain
-integer lists for the R and T closed forms; and sympy computing genuine
-n-th derivatives of tan and sec by calculus alone, compared numerically
-at a rational point with 50 digits of precision.
+integer lists for the R and T closed forms and the tilde rows; and sympy
+computing genuine n-th derivatives of tan and sec by calculus alone,
+compared numerically at a rational point with 50 digits of precision.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import chain, zip_longest
 
@@ -29,13 +31,17 @@ from tanpoly.symbolic import (
     diff,
     dz_iter,
     hoffman_p,
+    hoffman_p_seq,
     hoffman_q,
+    hoffman_q_seq,
     r_poly_closed,
     r_poly_dz,
     reduce_z,
     reduced_diff,
     t_poly_closed,
     t_poly_dz,
+    tilde_r_row_seq,
+    tilde_t_row_seq,
 )
 from tanpoly.verify import verify_closed_forms, verify_hoffman, verify_operator_expansion
 
@@ -276,6 +282,30 @@ class TestHoffmanFamilies:
         assert hoffman_p(3) == YPoly({0: 2, 2: 8, 4: 6})
         assert hoffman_q(3) == YPoly({1: 5, 3: 6})
 
+    def test_rows_match_reduced_diff(self):
+        # reduced_diff on dict pairs is the reference for the step on dense rows
+        p_pair = ReducedPair(YPoly.y(), YPoly.zero())
+        q_pair = ReducedPair(YPoly.zero(), YPoly.one())
+        for n, p, q in zip(range(201), hoffman_p_seq(), hoffman_q_seq()):
+            assert (p, YPoly.zero()) == p_pair, n
+            assert (YPoly.zero(), q) == q_pair, n
+            if n < 200:
+                p_pair, q_pair = reduced_diff(p_pair), reduced_diff(q_pair)
+        assert (hoffman_p(200), hoffman_q(200)) == (p_pair.f, q_pair.g)
+
+    @pytest.mark.parametrize("fn, n", [(hoffman_p, 1500), (hoffman_q, 800)], ids=["P-1500", "Q-800"])
+    def test_step_holds_two_rows(self, fn, n):
+        # Only the old and the new row are alive during a step, so the peak
+        # stays near twice the result's coefficients; a step that first
+        # lists every a*c holds a third row and peaks at 3x or more.
+        tracemalloc.start()
+        try:
+            poly = fn(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * sum(sys.getsizeof(c) for _, c in poly.terms())
+
     @pytest.mark.parametrize("n", range(16))
     def test_reduction_of_plain_derivatives(self, n):
         dy = YZPoly.y()
@@ -361,6 +391,19 @@ class TestRTFamilies:
                 if n <= 300 or n == 2000:
                     assert closed(n) == YPoly(dict(enumerate(coefs))), n
 
+    def test_tilde_rows_match_fibonacci_type_recurrence(self):
+        # Row n of Rtilde is R_n (odd n) or T_n (even n) at y^0, y^2, ...,
+        # and row n of Ttilde the other one at y^1, y^3, ...
+        r_rec = fibonacci_type([], [1], 1, 1, 300)
+        t_rec = chain([(1, [0, 1])], fibonacci_type([0, 1], [1, 0, 2], 2, 0, 300))
+        last = 0
+        for (n, r), (_, t), r_row, t_row in zip(r_rec, t_rec, tilde_r_row_seq(), tilde_t_row_seq()):
+            even, odd = (r, t) if n % 2 else (t, r)
+            assert r_row == even[0::2], n
+            assert t_row == odd[1::2], n
+            last = n
+        assert last == 300
+
     def test_exact_division_guard(self):
         with pytest.raises(InternalInconsistencyError):
             _extract_scaled(ReducedPair(YPoly({0: 3}), YPoly.zero()), False, 2)
@@ -380,4 +423,4 @@ class TestVerifySuites:
 
     def test_closed_forms(self):
         report = verify_closed_forms(15)
-        assert report.passed and report.checked == 30
+        assert report.passed and report.checked == 60

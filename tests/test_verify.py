@@ -10,7 +10,7 @@ import pytest
 from tanpoly import cli, symbolic, verify
 from tanpoly.exact import Rational
 from tanpoly.multiangle import TanValue
-from tanpoly.symbolic import ReducedPair, YPoly, YZPoly, dz_iter, reduce_z
+from tanpoly.symbolic import YPoly, YZPoly, dz_iter, reduce_z
 from tanpoly.verify import (
     RTILDE_GOLDEN,
     SUITE_NAMES,
@@ -98,8 +98,9 @@ def plus_one(value):
 def inject(at, spoil):
     """A patch that makes a function return a spoiled value at the arguments `at`.
 
-    A sweep hands that value back to take its next step; the step is taken
-    from the right value instead, so only the value compared at one n is wrong.
+    A sweep hands that value back as the first argument of its next step; the
+    step is taken from the right value instead, so only the value compared at
+    one n is wrong.
     """
 
     def patch(real):
@@ -109,7 +110,7 @@ def inject(at, spoil):
         def patched(*args):
             if args == at:
                 return wrong
-            return real(*((right,) if args == (wrong,) else args))
+            return real(*((right, *args[1:]) if args[:1] == (wrong,) else args))
 
         return patched
 
@@ -135,8 +136,9 @@ def spoil_row(n, k):
 
 # suite: (module and name of the function spoiled, the patch, checked at
 # max_n = 7, the one failure record expected, keys in order). The hoffman
-# entry spoils the step to P_3 and the theorem2 entry the extraction of R_4;
-# both live in symbolic, behind hoffman_p and r_poly_dz.
+# entry spoils the row step from P_2 = 2y + 2y^3 to P_3 and the theorem2
+# entry the extraction of R_4; both live in symbolic, behind hoffman_p and
+# r_poly_dz.
 FAULTS = {
     "rt-recurrences": (
         verify, "r_coef", inject((8, 2), plus_one), 60,
@@ -156,9 +158,7 @@ FAULTS = {
         },
     ),
     "hoffman": (
-        symbolic, "reduced_diff",
-        inject((ReducedPair(YPoly({1: 2, 3: 2}), YPoly.zero()),), lambda pair: pair._replace(f=pair.f + YPoly.one())),
-        16,
+        symbolic, "_hoffman_step", inject(([2, 2], 1, 0), lambda row: [row[0] + 1, *row[1:]]), 16,
         {
             "family": "P",
             "n": "3",
@@ -167,7 +167,7 @@ FAULTS = {
         },
     ),
     "theorem2": (
-        symbolic, "_extract_scaled", inject((reduce_z(dz_iter(3, YZPoly.z())), False, 6), lambda p: p + YPoly.y()), 14,
+        symbolic, "_extract_scaled", inject((reduce_z(dz_iter(3, YZPoly.z())), False, 6), lambda p: p + YPoly.y()), 28,
         {
             "family": "R",
             "n": "4",
@@ -176,7 +176,7 @@ FAULTS = {
         },
     ),
     "tables": (
-        verify, "tilde_r_row", inject((3,), lambda row: row[:-1] + [row[-1] + 1]), 10,
+        verify, "tilde_r_row_seq", spoil_row(2, 2), 10,
         {"family": "Rtilde", "n": "3", "got": "[1, 5, 5]", "want": "[1, 5, 4]"},
     ),
     "beeler": (
@@ -212,12 +212,28 @@ class TestOneRoutePerFamily:
     """The suites sweep the sequences behind the per-n functions, so one wrong
     step in symbolic shows in both; a suite that stepped its own copy would pass."""
 
-    def test_hoffman_and_poly_p_share_reduced_diff(self, monkeypatch, capsys):
+    def test_hoffman_and_poly_p_share_the_row_step(self, monkeypatch, capsys):
         module, name, patch, _, record = FAULTS["hoffman"]
         monkeypatch.setattr(module, name, patch(getattr(module, name)))
         assert cli.main(["poly", "--family", "P", "--n", "3"]) == 0
         assert capsys.readouterr().out == "3 + 8y^2 + 6y^4\n"
         assert json_failures("hoffman", capsys) == [list(record.items())]
+
+    def test_theorem2_and_triangle_share_the_tilde_rows(self, monkeypatch, capsys):
+        # Rtilde row 4 is T_4 = 1 + 9y^2 + 16y^4 + 8y^6; the y^4 entry is spoiled
+        # where the recurrence yields it, and the rows after it are stepped
+        # from the right one.
+        real = symbolic._tilde_rows
+
+        def spoiled():
+            for n, (r, t) in enumerate(real(), start=1):
+                yield (r[:2] + [r[2] + 1] + r[3:] if n == 4 else r), t
+
+        monkeypatch.setattr(symbolic, "_tilde_rows", spoiled)
+        assert cli.main(["triangle", "--name", "Rtilde", "--rows", "5", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "1\n1,2\n1,5,4\n1,9,17,8\n1,14,41,44,16\n"
+        record = {"family": "Rtilde", "n": "4", "closed": "[1, 9, 16, 8]", "recurrence": "[1, 9, 17, 8]"}
+        assert json_failures("theorem2", capsys) == [list(record.items())]
 
     def test_theorem2_and_r_poly_dz_share_apply_dz(self, monkeypatch, capsys):
         # the step to the third iterate on z, which R_4 is extracted from
@@ -235,7 +251,7 @@ class TestLinearWork:
     def calls(self, monkeypatch):
         # symbolic steps the sequences; verify steps the plain diff route of hoffman.
         calls = Counter()
-        for module, name in ((symbolic, "diff"), (symbolic, "apply_dz"), (symbolic, "reduced_diff"), (verify, "diff")):
+        for module, name in ((symbolic, "diff"), (symbolic, "apply_dz"), (symbolic, "_hoffman_step"), (verify, "diff")):
             real = getattr(module, name)
 
             def counted(*args, name=name, real=real):
@@ -254,7 +270,7 @@ class TestLinearWork:
     @pytest.mark.parametrize("m", [7, 30])
     def test_hoffman(self, calls, m):
         assert verify.verify_hoffman(m).passed
-        assert calls == {"diff": 2 * m, "reduced_diff": 2 * m}
+        assert calls == {"diff": 2 * m, "_hoffman_step": 2 * m}
 
     @pytest.mark.parametrize("m", [7, 30])
     def test_theorem2(self, calls, m):
