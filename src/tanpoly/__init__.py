@@ -33,16 +33,13 @@ from .symbolic import (
     reduced_diff,
     t_poly_closed,
     t_poly_dz,
-    tilde_r_row,
-    tilde_t_row,
+    tilde_rows,
 )
 from .triangles import (
     binom,
     m_closed,
-    m_rec,
     m_row,
     n_closed,
-    n_rec,
     n_row,
     r_coef,
     r_row,
@@ -86,10 +83,8 @@ __all__ = [
     "hoffman_p",
     "hoffman_q",
     "m_closed",
-    "m_rec",
     "m_row",
     "n_closed",
-    "n_rec",
     "n_row",
     "r_coef",
     "r_poly_closed",
@@ -107,8 +102,7 @@ __all__ = [
     "tan_beeler",
     "tan_float_check",
     "tan_gaussian",
-    "tilde_r_row",
-    "tilde_t_row",
+    "tilde_rows",
     "verify_closed_forms",
     "verify_hoffman",
     "verify_operator_expansion",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from itertools import count, islice
 
@@ -27,8 +28,8 @@ _TRIANGLES = {
     "T": (lambda: map(triangles.t_row, count(0)), 0, None),
     "M": (triangles.m_row_seq, 0, 60),
     "N": (triangles.n_row_seq, 0, 60),
-    "Rtilde": (symbolic.tilde_r_row_seq, 1, None),
-    "Ttilde": (symbolic.tilde_t_row_seq, 1, None),
+    "Rtilde": (lambda: map(operator.itemgetter(0), symbolic.tilde_rows()), 1, None),
+    "Ttilde": (lambda: map(operator.itemgetter(1), symbolic.tilde_rows()), 1, None),
 }
 
 _FAMILIES = {

@@ -12,16 +12,16 @@ polynomial families:
                operator applied to z and to y
 
 Row n of the Rtilde and Ttilde triangles holds the coefficients of R_n and
-T_n at even or odd powers of y (tilde_r_row_seq, tilde_t_row_seq).
+T_n at even or odd powers of y; tilde_rows yields both rows of each n.
 
 Each iterated route is one lazy sequence, which takes a step only when its
 next item is drawn: dz_seq (apply_dz), hoffman_p_seq/hoffman_q_seq
-(_hoffman_step on parity-stride rows), tilde_r_row_seq/tilde_t_row_seq (the
-Fibonacci-type recurrence of R_n and T_n) and r_poly_dz_seq/t_poly_dz_seq
-(dz_seq mapped through _dz_member: reduce, extract, divide by (n-1)!).
-dz_iter, hoffman_p/q and tilde_r_row/tilde_t_row return item n of theirs;
-r_poly_dz/t_poly_dz apply _dz_member once to dz_iter, so they reduce one
-iterate. The verify suites sweep the sequences.
+(_hoffman_step on parity-stride rows), tilde_rows (the Fibonacci-type
+recurrence of R_n and T_n) and r_poly_dz_seq/t_poly_dz_seq (dz_seq mapped
+through _dz_member: reduce, extract, divide by (n-1)!). dz_iter and
+hoffman_p/q return item n of theirs; r_poly_dz/t_poly_dz apply _dz_member
+once to dz_iter, so they reduce one iterate. The verify suites and the
+triangle command sweep the sequences.
 
 YZPoly is a sparse integer polynomial in the commuting variables y and z;
 YPoly is the same in y alone. Both share one ring implementation and differ
@@ -33,8 +33,8 @@ parity, where row[i] is the coefficient of y^(2i+e), and made YPoly only
 when drawn. R_n, T_n come three ways that share no code: Horner's rule in
 w = 1 + y^2 on their binomial closed forms (r_poly_closed, t_poly_closed),
 the z-side operator route (r_poly_dz, t_poly_dz) and the recurrence rows.
-All values are immutable and functions are pure; nothing here uses
-floating point.
+All values are immutable, the rows tilde_rows yields included (tuples),
+and functions are pure; nothing here uses floating point.
 
 Canonical monomial order for iteration, display, and serialization:
 ascending y-exponent, then ascending z-exponent.
@@ -151,7 +151,8 @@ class YPoly(_SparsePoly):
         return self._coef.get(a, 0)
 
     def __call__(self, value):
-        """Evaluate at any value supporting + and * (exact or symbolic)."""
+        """Evaluate at a value supporting +, * and ** by a nonnegative int,
+        such as an int or a Fraction."""
         result = 0
         for a, c in self.terms():
             result = result + c * value**a
@@ -194,7 +195,8 @@ class YZPoly(_SparsePoly):
         return cls({(0, 1): 1})
 
     def __call__(self, y_value, z_value):
-        """Evaluate at any values supporting + and * (exact or symbolic)."""
+        """Evaluate at values supporting +, * and ** by a nonnegative int,
+        such as ints or Fractions (not YZPoly, which has no **)."""
         result = 0
         for (a, b), c in self.terms():
             result = result + c * y_value**a * z_value**b
@@ -267,14 +269,14 @@ def dz_seq(seed: YZPoly) -> Iterator[YZPoly]:
 
 def dz_iter(n: int, seed: YZPoly) -> YZPoly:
     """n-fold application of apply_dz, item n of dz_seq(seed)."""
-    return _item(dz_seq(seed), n, 0)
+    return _item(dz_seq(seed), n)
 
 
-def _item(seq: Iterator, n: int, first: int):
-    """Item n of seq, whose items are numbered from first."""
-    if n < first:
-        raise ValueError(f"n must be at least {first}")
-    return next(islice(seq, n - first, None))
+def _item(seq: Iterator, n: int):
+    """Item n of seq, whose items are numbered from 0."""
+    if n < 0:
+        raise ValueError("n must be at least 0")
+    return next(islice(seq, n, None))
 
 
 def reduce_z(p: YZPoly) -> ReducedPair:
@@ -306,7 +308,8 @@ def reduced_diff(pair: ReducedPair) -> ReducedPair:
     (f, g) -> ((1 + y^2) f', y g + (1 + y^2) g'); this commutes with
     reduce_z because diff(z^2) = 2yz^2 = diff(1 + y^2) in the quotient.
     On c*y^a, f gives a*c at y^(a-1) and y^(a+1); g gives a*c at y^(a-1)
-    and (a+1)*c at y^(a+1).
+    and (a+1)*c at y^(a+1). hoffman_p/hoffman_q step rows instead; this is
+    the reference their tests compare against.
     """
     f: dict[int, int] = {}
     for a, c in pair.f._coef.items():
@@ -362,13 +365,13 @@ def hoffman_q_seq() -> Iterator[YPoly]:
 def hoffman_p(n: int) -> YPoly:
     """Derivative polynomial of the tangent, item n of hoffman_p_seq:
     P_0 = y, P_{k+1} = (1+y^2) P_k'."""
-    return _stride_poly(*_item(_hoffman_rows(1, 0), n, 0))
+    return _stride_poly(*_item(_hoffman_rows(1, 0), n))
 
 
 def hoffman_q(n: int) -> YPoly:
     """Derivative polynomial of the secant, item n of hoffman_q_seq:
     Q_0 = 1, Q_{k+1} = (1+y^2) Q_k' + y Q_k."""
-    return _stride_poly(*_item(_hoffman_rows(0, 1), n, 0))
+    return _stride_poly(*_item(_hoffman_rows(0, 1), n))
 
 
 def r_poly_closed(n: int) -> YPoly:
@@ -407,7 +410,7 @@ def _binomial_closed_form(n: int, odd: int) -> list[int]:
     return acc
 
 
-def _tilde_rows() -> Iterator[tuple[list[int], list[int]]]:
+def tilde_rows() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(Rtilde row n, Ttilde row n) for n = 1, 2, ... by the Fibonacci-type
     recurrence of R_n and T_n, with w = 1 + y^2:
 
@@ -423,41 +426,21 @@ def _tilde_rows() -> Iterator[tuple[list[int], list[int]]]:
         Ttilde_{n+1} = w * (2y Rtilde_n + Ttilde_{n-1})
 
     On the rows, y times a Ttilde row (odd powers) is a 0 put in front, y
-    times an Rtilde row (even powers) is the same list, and w times a list
-    is one shift-add. Row n has n entries, so the shorter list is padded
-    before each elementwise add.
+    times an Rtilde row (even powers) is the same tuple, and w times a tuple
+    is one shift-add. Row n has n entries, so the shorter tuple is padded
+    before each elementwise add. Rtilde rows are the coefficients of y^0,
+    y^2, ..., y^(2n-2) and rows 1..5 reproduce A056242; Ttilde rows those of
+    y^1, y^3, ..., y^(2n-1) and rows 1..5 reproduce A210753.
     """
-    r_prev, t_prev, r, t = [1], [1], [1, 2], [2, 2]
+    r_prev, t_prev, r, t = (1,), (1,), (1, 2), (2, 2)
     yield r_prev, t_prev
     while True:
         yield r, t
-        w_r_prev = list(map(operator.add, r_prev + [0], [0] + r_prev))
-        sum_t = list(map(operator.add, map(operator.add, r, r), t_prev + [0]))
+        w_r_prev = map(operator.add, (*r_prev, 0), (0, *r_prev))
+        sum_t = tuple(map(operator.add, map(operator.add, r, r), (*t_prev, 0)))
         r_prev, t_prev = r, t
-        r = list(map(operator.add, [0, *map(operator.add, t, t)], w_r_prev + [0]))
-        t = list(map(operator.add, sum_t + [0], [0] + sum_t))
-
-
-def tilde_r_row_seq() -> Iterator[list[int]]:
-    """Rows 1, 2, ... of the Rtilde triangle, coefficients of y^0, y^2, ...,
-    y^(2n-2): R_n for odd n and T_n for even n; rows 1..5 reproduce A056242."""
-    return map(operator.itemgetter(0), _tilde_rows())
-
-
-def tilde_t_row_seq() -> Iterator[list[int]]:
-    """Rows 1, 2, ... of the Ttilde triangle, coefficients of y^1, y^3, ...,
-    y^(2n-1): T_n for odd n and R_n for even n; rows 1..5 reproduce A210753."""
-    return map(operator.itemgetter(1), _tilde_rows())
-
-
-def tilde_r_row(n: int) -> list[int]:
-    """Row n >= 1 of the Rtilde triangle, item n of tilde_r_row_seq."""
-    return _item(tilde_r_row_seq(), n, 1)
-
-
-def tilde_t_row(n: int) -> list[int]:
-    """Row n >= 1 of the Ttilde triangle, item n of tilde_t_row_seq."""
-    return _item(tilde_t_row_seq(), n, 1)
+        r = tuple(map(operator.add, (0, *map(operator.add, t, t)), (*w_r_prev, 0)))
+        t = tuple(map(operator.add, (*sum_t, 0), (0, *sum_t)))
 
 
 def r_poly_dz_seq() -> Iterator[YPoly]:

@@ -6,15 +6,15 @@ Two factorial-scaled families M and N, the coefficients of the iterated
 operator p -> d/dx(sec(x) * p) expanded over tan and sec monomials; they
 are computed from their two-term recurrences and, independently, from the
 closed forms n! * C(n+1, 2k+1) and n! * C(n+1, 2k). The recurrence rows
-are the lazy sequences m_row_seq and n_row_seq, which m_row/n_row and
-m_rec/n_rec read and the corollary suite and triangle command sweep. The
-two reduced families Rtilde and Ttilde (A056242 and A210753) collect the
+are the lazy sequences m_row_seq and n_row_seq of tuples, which m_row/n_row
+read and the corollary suite and triangle command sweep. The two reduced
+families Rtilde and Ttilde (A056242 and A210753) collect the
 coefficients of the reduced polynomial families, so their rows live in the
 symbolic module, which builds on this one; this module imports nothing
 from the package.
 
-Every accessor returns 0 outside its family's index range, which makes the
-recurrences total. Nothing is cached.
+Every per-entry accessor returns 0 outside its family's index range, which
+makes the recurrences total. Nothing is cached.
 """
 
 from __future__ import annotations
@@ -53,54 +53,42 @@ def t_row(n: int) -> list[int]:
     return [t_coef(n, k) for k in range(n // 2 + 1)]
 
 
-def _mn_row_seq(s: int) -> Iterator[list[int]]:
+def _mn_row_seq(s: int) -> Iterator[tuple[int, ...]]:
     """Rows 0, 1, ... of M (s = 0) or N (s = 1), row n of length
     floor((n+s)/2) + 1, from X(m+1, k) = (m+2k+2-s) X(m, k) + (m-2k+2+s) X(m, k-1).
     """
-    row = [1]
+    row = (1,)
     for m in count():
         yield row
-        padded = [0, *row, 0]
-        row = [
+        padded = (0, *row, 0)
+        row = tuple(
             (m + 2 * k + 2 - s) * padded[k + 1] + (m - 2 * k + 2 + s) * padded[k]
             for k in range((m + 1 + s) // 2 + 1)
-        ]
+        )
 
 
-def m_row_seq() -> Iterator[list[int]]:
+def m_row_seq() -> Iterator[tuple[int, ...]]:
     """Rows 0, 1, ... of the M triangle by recurrence."""
     return _mn_row_seq(0)
 
 
-def n_row_seq() -> Iterator[list[int]]:
+def n_row_seq() -> Iterator[tuple[int, ...]]:
     """Rows 0, 1, ... of the N triangle by recurrence."""
     return _mn_row_seq(1)
 
 
-def m_row(n: int) -> list[int]:
+def m_row(n: int) -> tuple[int, ...]:
     """Row n of the M triangle by recurrence: k = 0 .. floor(n/2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     return next(islice(m_row_seq(), n, None))
 
 
-def n_row(n: int) -> list[int]:
+def n_row(n: int) -> tuple[int, ...]:
     """Row n of the N triangle by recurrence: k = 0 .. floor((n+1)/2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     return next(islice(n_row_seq(), n, None))
-
-
-def m_rec(n: int, k: int) -> int:
-    """M(n, k) from the recurrence M(n+1,k) = (n+2k+2)M(n,k) + (n-2k+2)M(n,k-1)."""
-    row = m_row(n)
-    return row[k] if 0 <= k < len(row) else 0
-
-
-def n_rec(n: int, k: int) -> int:
-    """N(n, k) from the recurrence N(n+1,k) = (n+2k+1)N(n,k) + (n-2k+3)N(n,k-1)."""
-    row = n_row(n)
-    return row[k] if 0 <= k < len(row) else 0
 
 
 def m_closed(n: int, k: int) -> int:

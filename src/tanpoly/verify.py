@@ -3,11 +3,12 @@
 Each suite compares two or three independent routes to the same values
 and returns a VerifyReport: how many comparisons it made and which ones
 failed. The iterated routes are the lazy sequences symbolic and triangles
-own; a suite zips them against range(...), range first, so no item past
-max_n is drawn, and steps only the plain diff route of hoffman itself.
-Reports are plain data; rendering and exit-code policy live in the cli
-module. Failure records keep every value as an exact decimal string so
-reports can be serialized without any floating point.
+own; a suite zips each sequence once against range(...), range first, so
+no item past max_n is drawn, and steps only the plain diff route of
+hoffman itself. Reports are plain data; rendering and exit-code policy
+live in the cli module. Failure records keep every value as an exact
+decimal string so reports can be serialized without any floating point;
+a row is written as a list, [1, 5, 4].
 
 The embedded rows are the first five rows of A056242 (k-part
 order-consecutive partition counts) and of A210753. They are test data,
@@ -22,7 +23,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from .multiangle import DEFAULT_GRID, tan_addition, tan_beeler, tan_gaussian
 from .symbolic import ReducedPair, YPoly, YZPoly, diff, dz_seq, hoffman_p_seq, hoffman_q_seq, reduce_z
-from .symbolic import r_poly_closed, r_poly_dz_seq, t_poly_closed, t_poly_dz_seq, tilde_r_row_seq, tilde_t_row_seq
+from .symbolic import r_poly_closed, r_poly_dz_seq, t_poly_closed, t_poly_dz_seq, tilde_rows
 from .triangles import m_closed, m_row_seq, n_closed, n_row_seq, r_coef, t_coef
 
 RTILDE_GOLDEN: tuple[tuple[int, ...], ...] = (
@@ -127,12 +128,12 @@ def verify_rec_vs_closed(max_n: int) -> VerifyReport:
         "form holds on the wider range as well."
     )
     tally = _Tally("corollary", max_n, 1, notes=(note,))
-    for n, m_rec_row, n_rec_row in zip(range(max_n + 1), m_row_seq(), n_row_seq()):
+    for n, m_row, n_row in zip(range(max_n + 1), m_row_seq(), n_row_seq()):
         for k in range(n // 2 + 1):
-            rec, closed = m_rec_row[k], m_closed(n, k)
+            rec, closed = m_row[k], m_closed(n, k)
             tally.check(rec == closed, family="M", n=n, k=k, rec=rec, closed=closed)
         for k in range((n + 1) // 2 + 1):
-            rec, closed = n_rec_row[k], n_closed(n, k)
+            rec, closed = n_row[k], n_closed(n, k)
             tally.check(rec == closed, family="N", n=n, k=k, rec=rec, closed=closed)
     return tally.report()
 
@@ -159,7 +160,8 @@ def verify_hoffman(max_n: int) -> VerifyReport:
     """Check n-fold plain derivatives of y and z against the P and Q recurrences.
 
     diff steps y and z once per n here; P_n and Q_n come from hoffman_p_seq
-    and hoffman_q_seq, the reduced_diff sequences behind hoffman_p/hoffman_q.
+    and hoffman_q_seq, the parity-stride row sequences behind
+    hoffman_p/hoffman_q.
     """
     tally = _Tally("hoffman", max_n, 0)
     dy, dz = YZPoly.y(), YZPoly.z()
@@ -178,39 +180,36 @@ def verify_closed_forms(max_n: int) -> VerifyReport:
     and against the recurrence rows of the tilde triangles.
 
     The operator route is r_poly_dz_seq/t_poly_dz_seq and the recurrence is
-    tilde_r_row_seq/tilde_t_row_seq, each swept once over n; the closed forms
-    are direct. Row n of Rtilde is compared with the coefficients of y^0,
-    y^2, ..., y^(2n-2) of R_n (odd n) or T_n (even n), and row n of Ttilde
-    with those of y^1, ..., y^(2n-1) of the other one.
+    tilde_rows, each swept once over n; the closed forms are direct. Row n
+    of Rtilde is compared with the coefficients of y^0, y^2, ..., y^(2n-2)
+    of R_n (odd n) or T_n (even n), and row n of Ttilde with those of y^1,
+    ..., y^(2n-1) of the other one.
     """
     tally = _Tally("theorem2", max_n, 1)
-    routes = zip(range(1, max_n + 1), r_poly_dz_seq(), t_poly_dz_seq(), tilde_r_row_seq(), tilde_t_row_seq())
-    for n, r_operator, t_operator, r_tilde, t_tilde in routes:
+    routes = zip(range(1, max_n + 1), r_poly_dz_seq(), t_poly_dz_seq(), tilde_rows())
+    for n, r_operator, t_operator, (r_tilde, t_tilde) in routes:
         r_closed, t_closed = r_poly_closed(n), t_poly_closed(n)
         tally.check(r_closed == r_operator, family="R", n=n, closed=r_closed, operator=r_operator)
         tally.check(t_closed == t_operator, family="T", n=n, closed=t_closed, operator=t_operator)
         even, odd = (r_closed, t_closed) if n % 2 else (t_closed, r_closed)
         closed = [even.coefficient(a) for a in range(0, 2 * n, 2)]
-        tally.check(closed == r_tilde, family="Rtilde", n=n, closed=closed, recurrence=r_tilde)
+        tally.check(closed == list(r_tilde), family="Rtilde", n=n, closed=closed, recurrence=list(r_tilde))
         closed = [odd.coefficient(a) for a in range(1, 2 * n, 2)]
-        tally.check(closed == t_tilde, family="Ttilde", n=n, closed=closed, recurrence=t_tilde)
+        tally.check(closed == list(t_tilde), family="Ttilde", n=n, closed=closed, recurrence=list(t_tilde))
     return tally.report()
 
 
 def verify_tables(max_n: int = 5) -> VerifyReport:
-    """Compare the Rtilde/Ttilde rows of tilde_r_row_seq/tilde_t_row_seq with
-    the golden rows.
+    """Compare the Rtilde/Ttilde rows of tilde_rows with the golden rows.
 
     Golden data covers rows 1..5; larger max_n checks the same five rows
     per family (rows beyond 5 are covered by the cross-method suites).
     """
     tally = _Tally("tables", max_n, 1)
-    rows = zip(range(1, min(max_n, len(RTILDE_GOLDEN)) + 1), tilde_r_row_seq(), tilde_t_row_seq())
-    for n, r_row, t_row in rows:
-        want = list(RTILDE_GOLDEN[n - 1])
-        tally.check(r_row == want, family="Rtilde", n=n, got=r_row, want=want)
-        want = list(TTILDE_GOLDEN[n - 1])
-        tally.check(t_row == want, family="Ttilde", n=n, got=t_row, want=want)
+    rows = zip(range(1, max_n + 1), RTILDE_GOLDEN, TTILDE_GOLDEN, tilde_rows())
+    for n, r_want, t_want, (r_row, t_row) in rows:
+        tally.check(r_row == r_want, family="Rtilde", n=n, got=list(r_row), want=list(r_want))
+        tally.check(t_row == t_want, family="Ttilde", n=n, got=list(t_row), want=list(t_want))
     return tally.report()
 
 

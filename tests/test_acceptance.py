@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import random
 import time
+from itertools import count
+from operator import itemgetter
 
 from tanpoly import cli
 from tanpoly.exact import Rational
@@ -28,17 +30,16 @@ from tanpoly.symbolic import (
     reduced_diff,
     t_poly_closed,
     t_poly_dz,
-    tilde_r_row,
-    tilde_t_row,
+    tilde_rows,
 )
 from tanpoly.triangles import (
     binom,
     m_closed,
-    m_rec,
     m_row,
+    m_row_seq,
     n_closed,
-    n_rec,
     n_row,
+    n_row_seq,
     r_coef,
     r_row,
     t_coef,
@@ -73,11 +74,11 @@ def _finish(num: int, label: str, budget: float, start: float, failures: list) -
 def test_criterion_01_golden_tables():
     start = time.perf_counter()
     failures = []
-    for n in range(1, 6):
-        if tilde_r_row(n) != GOLDEN_RTILDE[n - 1]:
-            failures.append(("Rtilde", n, tilde_r_row(n)))
-        if tilde_t_row(n) != GOLDEN_TTILDE[n - 1]:
-            failures.append(("Ttilde", n, tilde_t_row(n)))
+    for n, (r_row, t_row) in zip(range(1, 6), tilde_rows()):
+        if list(r_row) != GOLDEN_RTILDE[n - 1]:
+            failures.append(("Rtilde", n, r_row))
+        if list(t_row) != GOLDEN_TTILDE[n - 1]:
+            failures.append(("Ttilde", n, t_row))
     _finish(1, "golden tilde tables rows 1-5", 1.0, start, failures)
 
 
@@ -103,13 +104,13 @@ def test_criterion_02_listed_polynomials():
 def test_criterion_03_factorial_closed_forms():
     start = time.perf_counter()
     failures = []
-    for n in range(26):
+    for n, rec_m, rec_n in zip(range(26), m_row_seq(), n_row_seq()):
         for k in range(n // 2 + 1):
-            if m_rec(n, k) != m_closed(n, k):
-                failures.append(("M", n, k, m_rec(n, k), m_closed(n, k)))
+            if rec_m[k] != m_closed(n, k):
+                failures.append(("M", n, k, rec_m[k], m_closed(n, k)))
         for k in range((n + 1) // 2 + 1):  # N's wider index range
-            if n_rec(n, k) != n_closed(n, k):
-                failures.append(("N", n, k, n_rec(n, k), n_closed(n, k)))
+            if rec_n[k] != n_closed(n, k):
+                failures.append(("N", n, k, rec_n[k], n_closed(n, k)))
     _finish(3, "M/N recurrences equal n!*binomial closed forms, n<=25", 1.0, start, failures)
 
 
@@ -212,14 +213,14 @@ def test_criterion_10_cli_contract(capsys):
         failures.append(("verify all exit code", code))
 
     row_sources = {
-        "R": (r_row, 0),
-        "T": (t_row, 0),
-        "M": (m_row, 0),
-        "N": (n_row, 0),
-        "Rtilde": (tilde_r_row, 1),
-        "Ttilde": (tilde_t_row, 1),
+        "R": (map(r_row, count(0)), 0),
+        "T": (map(t_row, count(0)), 0),
+        "M": (map(m_row, count(0)), 0),
+        "N": (map(n_row, count(0)), 0),
+        "Rtilde": (map(itemgetter(0), tilde_rows()), 1),
+        "Ttilde": (map(itemgetter(1), tilde_rows()), 1),
     }
-    for name, (row_fn, first) in row_sources.items():
+    for name, (rows, first) in row_sources.items():
         code = cli.main(["triangle", "--name", name, "--rows", "10", "--format", "bfile"])
         out = capsys.readouterr().out
         if code != 0:
@@ -232,9 +233,8 @@ def test_criterion_10_cli_contract(capsys):
                 failures.append((name, "bfile index", i, line))
             values.append(int(value_text))
         pos = 0
-        for n in range(first, first + 10):
-            row = row_fn(n)
-            if values[pos : pos + len(row)] != row:
+        for n, row in zip(range(first, first + 10), rows):
+            if values[pos : pos + len(row)] != list(row):
                 failures.append((name, "row", n))
             pos += len(row)
         if pos != len(values):

@@ -10,6 +10,8 @@ import math
 import os
 import subprocess
 import sys
+from itertools import count, islice
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from tanpoly import cli, multiangle, verify
 from tanpoly.exact import Rational
 from tanpoly.multiangle import TanValue
-from tanpoly.symbolic import tilde_r_row, tilde_t_row
+from tanpoly.symbolic import tilde_rows
 from tanpoly.triangles import m_row, n_row, r_row, t_row
 from tanpoly.verify import VerifyReport
 
@@ -108,17 +110,17 @@ class TestTriangleCommand:
         assert len(out.splitlines()) == 60
 
     @pytest.mark.parametrize(
-        "name,row_fn,first",
+        "name,row_seq",
         [
-            ("R", r_row, 0),
-            ("T", t_row, 0),
-            ("M", m_row, 0),
-            ("N", n_row, 0),
-            ("Rtilde", tilde_r_row, 1),
-            ("Ttilde", tilde_t_row, 1),
+            pytest.param("R", lambda: map(r_row, count(0)), id="R-r_row-0"),
+            pytest.param("T", lambda: map(t_row, count(0)), id="T-t_row-0"),
+            pytest.param("M", lambda: map(m_row, count(0)), id="M-m_row-0"),
+            pytest.param("N", lambda: map(n_row, count(0)), id="N-n_row-0"),
+            pytest.param("Rtilde", lambda: map(itemgetter(0), tilde_rows()), id="Rtilde-tilde_rows-1"),
+            pytest.param("Ttilde", lambda: map(itemgetter(1), tilde_rows()), id="Ttilde-tilde_rows-1"),
         ],
     )
-    def test_bfile_round_trip(self, capsys, name, row_fn, first):
+    def test_bfile_round_trip(self, capsys, name, row_seq):
         rows = 10
         code, out, _ = run_cli(
             capsys, "triangle", "--name", name, "--rows", str(rows), "--format", "bfile"
@@ -129,7 +131,7 @@ class TestTriangleCommand:
             index, value = line.split(" ")
             assert int(index) == i
             values.append(int(value))
-        expected_rows = [row_fn(n) for n in range(first, first + rows)]
+        expected_rows = [list(row) for row in islice(row_seq(), rows)]
         rebuilt = []
         pos = 0
         for row in expected_rows:

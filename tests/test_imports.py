@@ -90,3 +90,12 @@ def test_no_imports_inside_functions():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert found == []
+
+
+def test_deleted_row_wrappers_are_gone():
+    # rows come from the sequences tilde_rows, m_row_seq and n_row_seq
+    deleted = ("tilde_r_row", "tilde_t_row", "tilde_r_row_seq", "tilde_t_row_seq", "m_rec", "n_rec")
+    for name in deleted:
+        assert name not in tanpoly.__all__
+        for module in (tanpoly, tanpoly.symbolic, tanpoly.triangles):
+            assert not hasattr(module, name), (module.__name__, name)

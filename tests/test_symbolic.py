@@ -40,8 +40,7 @@ from tanpoly.symbolic import (
     reduced_diff,
     t_poly_closed,
     t_poly_dz,
-    tilde_r_row_seq,
-    tilde_t_row_seq,
+    tilde_rows,
 )
 from tanpoly.verify import verify_closed_forms, verify_hoffman, verify_operator_expansion
 
@@ -397,10 +396,10 @@ class TestRTFamilies:
         r_rec = fibonacci_type([], [1], 1, 1, 300)
         t_rec = chain([(1, [0, 1])], fibonacci_type([0, 1], [1, 0, 2], 2, 0, 300))
         last = 0
-        for (n, r), (_, t), r_row, t_row in zip(r_rec, t_rec, tilde_r_row_seq(), tilde_t_row_seq()):
+        for (n, r), (_, t), (r_row, t_row) in zip(r_rec, t_rec, tilde_rows()):
             even, odd = (r, t) if n % 2 else (t, r)
-            assert r_row == even[0::2], n
-            assert t_row == odd[1::2], n
+            assert r_row == tuple(even[0::2]), n
+            assert t_row == tuple(odd[1::2]), n
             last = n
         assert last == 300
 

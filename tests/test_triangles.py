@@ -7,25 +7,37 @@ rule, independent of the implementation's route.
 from __future__ import annotations
 
 import math
+from itertools import islice
+from operator import itemgetter
 
 import pytest
 
 from tanpoly import symbolic
-from tanpoly.symbolic import tilde_r_row, tilde_t_row
+from tanpoly.symbolic import tilde_rows
 from tanpoly.triangles import (
     binom,
     m_closed,
-    m_rec,
     m_row,
+    m_row_seq,
     n_closed,
-    n_rec,
     n_row,
+    n_row_seq,
     r_coef,
     r_row,
     t_coef,
     t_row,
 )
 from tanpoly.verify import verify_rec_vs_closed, verify_rt_recurrences
+
+
+def tilde_r_rows(count: int) -> list[tuple[int, ...]]:
+    """Rtilde rows 1..count."""
+    return [r for r, _ in islice(tilde_rows(), count)]
+
+
+def tilde_t_rows(count: int) -> list[tuple[int, ...]]:
+    """Ttilde rows 1..count."""
+    return [t for _, t in islice(tilde_rows(), count)]
 
 
 def pascal_rows(n_max: int) -> list[list[int]]:
@@ -89,19 +101,15 @@ class TestRTCoefficients:
 
 class TestMN:
     def test_recurrence_examples(self):
-        assert m_rec(1, 0) == 2
-        assert n_rec(1, 0) == 1 and n_rec(1, 1) == 1
+        assert m_row(1)[0] == 2
+        assert n_row(1)[0] == 1 and n_row(1)[1] == 1
         # two applications of the weighted operator to z give 6y^2z^3 + 2z^5
-        assert m_rec(2, 0) == 6 and m_rec(2, 1) == 2
+        assert m_row(2)[0] == 6 and m_row(2)[1] == 2
 
     def test_closed_examples(self):
         assert m_closed(1, 0) == 2
         assert m_closed(2, 1) == 2
         assert n_closed(3, 2) == 6
-
-    def test_out_of_range_is_zero(self):
-        assert m_rec(3, -1) == 0 and m_rec(3, 2) == 0
-        assert n_rec(3, -1) == 0 and n_rec(3, 3) == 0
 
     def test_row_shapes(self):
         for n in range(20):
@@ -109,11 +117,11 @@ class TestMN:
             assert len(n_row(n)) == (n + 1) // 2 + 1
 
     def test_recurrence_equals_closed_form(self):
-        for n in range(26):
+        for n, m, nn in zip(range(26), m_row_seq(), n_row_seq()):
             for k in range(n // 2 + 1):
-                assert m_rec(n, k) == m_closed(n, k)
+                assert m[k] == m_closed(n, k)
             for k in range((n + 1) // 2 + 1):
-                assert n_rec(n, k) == n_closed(n, k)
+                assert nn[k] == n_closed(n, k)
 
     def test_row_sums(self):
         for n in range(1, 20):
@@ -122,13 +130,12 @@ class TestMN:
     def test_deep_rows_from_cold_cache(self):
         # built by one sweep; one stack frame per row would pass the recursion limit
         n = 600
-        assert m_row(n) == [m_closed(n, k) for k in range(n // 2 + 1)]
-        assert n_row(n) == [n_closed(n, k) for k in range((n + 1) // 2 + 1)]
-        assert m_rec(n, 0) == m_closed(n, 0)
+        assert m_row(n) == tuple(m_closed(n, k) for k in range(n // 2 + 1))
+        assert n_row(n) == tuple(n_closed(n, k) for k in range((n + 1) // 2 + 1))
 
     def test_even_row_edge_is_factorial(self):
         for m in range(13):
-            assert m_rec(2 * m, m) == math.factorial(2 * m)
+            assert m_row(2 * m)[m] == math.factorial(2 * m)
 
     def test_verify_rec_vs_closed(self):
         report = verify_rec_vs_closed(25)
@@ -141,34 +148,26 @@ class TestMN:
 
 class TestTildeRows:
     def test_golden_rows(self):
-        assert tilde_r_row(1) == [1]
-        assert tilde_r_row(5) == [1, 14, 41, 44, 16]
-        assert tilde_t_row(5) == [5, 30, 61, 52, 16]
-        assert [tilde_r_row(n) for n in range(1, 6)] == [
-            [1],
-            [1, 2],
-            [1, 5, 4],
-            [1, 9, 16, 8],
-            [1, 14, 41, 44, 16],
+        assert next(tilde_rows()) == ((1,), (1,))
+        assert tilde_r_rows(5)[4] == (1, 14, 41, 44, 16)
+        assert tilde_t_rows(5)[4] == (5, 30, 61, 52, 16)
+        assert tilde_r_rows(5) == [
+            (1,),
+            (1, 2),
+            (1, 5, 4),
+            (1, 9, 16, 8),
+            (1, 14, 41, 44, 16),
         ]
-        assert [tilde_t_row(n) for n in range(1, 6)] == [
-            [1],
-            [2, 2],
-            [3, 7, 4],
-            [4, 16, 20, 8],
-            [5, 30, 61, 52, 16],
+        assert tilde_t_rows(5) == [
+            (1,),
+            (2, 2),
+            (3, 7, 4),
+            (4, 16, 20, 8),
+            (5, 30, 61, 52, 16),
         ]
-
-    def test_row_zero_rejected(self):
-        with pytest.raises(ValueError):
-            tilde_r_row(0)
-        with pytest.raises(ValueError):
-            tilde_t_row(0)
 
     def test_shape_and_edges(self):
-        for n in range(1, 11):
-            r = tilde_r_row(n)
-            t = tilde_t_row(n)
+        for n, (r, t) in zip(range(1, 11), tilde_rows()):
             assert len(r) == n and len(t) == n
             assert t[0] == n
             assert r[-1] == 2 ** (n - 1) and t[-1] == 2 ** (n - 1)
@@ -178,14 +177,34 @@ class TestTildeRows:
         # row 7 is odd, so Rtilde comes from the R family and Ttilde from T
         r7 = symbolic.r_poly_closed(7)
         t7 = symbolic.t_poly_closed(7)
-        assert tilde_r_row(7) == [r7.coefficient(2 * k - 2) for k in range(1, 8)]
-        assert tilde_t_row(7) == [t7.coefficient(2 * k - 1) for k in range(1, 8)]
+        assert tilde_r_rows(7)[6] == tuple(r7.coefficient(2 * k - 2) for k in range(1, 8))
+        assert tilde_t_rows(7)[6] == tuple(t7.coefficient(2 * k - 1) for k in range(1, 8))
 
     def test_rows_are_whole_source_polynomials(self):
         # The rows are read straight off the closed-form coefficient list, so
         # each must be the whole source polynomial at y^0, y^2, ... or y^1, y^3, ...
-        for n in range(1, 41):
+        for n, (r_row, t_row) in zip(range(1, 41), tilde_rows()):
             r, t = symbolic.r_poly_closed(n), symbolic.t_poly_closed(n)
             even, odd = (r, t) if n % 2 else (t, r)
-            assert symbolic.YPoly({2 * k: c for k, c in enumerate(tilde_r_row(n))}) == even
-            assert symbolic.YPoly({2 * k + 1: c for k, c in enumerate(tilde_t_row(n))}) == odd
+            assert symbolic.YPoly({2 * k: c for k, c in enumerate(r_row)}) == even
+            assert symbolic.YPoly({2 * k + 1: c for k, c in enumerate(t_row)}) == odd
+
+
+class TestImmutableRows:
+    """A caller that draws a row cannot change the rows drawn after it."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [lambda: map(itemgetter(0), tilde_rows()), lambda: map(itemgetter(1), tilde_rows()), m_row_seq, n_row_seq],
+        ids=["Rtilde", "Ttilde", "M", "N"],
+    )
+    def test_row_edit_raises_and_later_rows_hold(self, rows):
+        fresh = list(islice(rows(), 60))
+        seq = rows()
+        drawn = list(islice(seq, 3))
+        for row in drawn:
+            for k in range(len(row)):
+                with pytest.raises(TypeError):
+                    row[k] += 98
+        drawn += islice(seq, 57)
+        assert drawn == fresh

@@ -117,6 +117,11 @@ def inject(at, spoil):
     return patch
 
 
+def bump(row, k):
+    """A copy of row, as a tuple, with 1 added to entry k."""
+    return (*row[:k], row[k] + 1, *row[k + 1 :])
+
+
 def spoil_row(n, k):
     """A patch for a row sequence that adds 1 to entry k of row n.
 
@@ -127,7 +132,21 @@ def spoil_row(n, k):
     def patch(real):
         def patched():
             for i, row in enumerate(real()):
-                yield row[:k] + [row[k] + 1] + row[k + 1 :] if i == n else row
+                yield bump(row, k) if i == n else row
+
+        return patched
+
+    return patch
+
+
+def spoil_rtilde(n, k):
+    """A patch for tilde_rows that adds 1 to entry k of Rtilde row n >= 1; the
+    rows after it are stepped from the right one."""
+
+    def patch(real):
+        def patched():
+            for i, (r, t) in enumerate(real(), start=1):
+                yield (bump(r, k) if i == n else r), t
 
         return patched
 
@@ -176,7 +195,7 @@ FAULTS = {
         },
     ),
     "tables": (
-        verify, "tilde_r_row_seq", spoil_row(2, 2), 10,
+        verify, "tilde_rows", spoil_rtilde(3, 2), 10,
         {"family": "Rtilde", "n": "3", "got": "[1, 5, 5]", "want": "[1, 5, 4]"},
     ),
     "beeler": (
@@ -221,15 +240,12 @@ class TestOneRoutePerFamily:
 
     def test_theorem2_and_triangle_share_the_tilde_rows(self, monkeypatch, capsys):
         # Rtilde row 4 is T_4 = 1 + 9y^2 + 16y^4 + 8y^6; the y^4 entry is spoiled
-        # where the recurrence yields it, and the rows after it are stepped
-        # from the right one.
-        real = symbolic._tilde_rows
-
-        def spoiled():
-            for n, (r, t) in enumerate(real(), start=1):
-                yield (r[:2] + [r[2] + 1] + r[3:] if n == 4 else r), t
-
-        monkeypatch.setattr(symbolic, "_tilde_rows", spoiled)
+        # where the recurrence yields it. verify holds the function symbolic
+        # defines, so both references are patched with the one spoiled sequence.
+        assert verify.tilde_rows is symbolic.tilde_rows
+        spoiled = spoil_rtilde(4, 2)(symbolic.tilde_rows)
+        monkeypatch.setattr(symbolic, "tilde_rows", spoiled)
+        monkeypatch.setattr(verify, "tilde_rows", spoiled)
         assert cli.main(["triangle", "--name", "Rtilde", "--rows", "5", "--format", "csv"]) == 0
         assert capsys.readouterr().out == "1\n1,2\n1,5,4\n1,9,17,8\n1,14,41,44,16\n"
         record = {"family": "Rtilde", "n": "4", "closed": "[1, 9, 16, 8]", "recurrence": "[1, 9, 17, 8]"}
@@ -276,6 +292,31 @@ class TestLinearWork:
     def test_theorem2(self, calls, m):
         assert verify.verify_closed_forms(m).passed
         assert calls == {"apply_dz": 2 * (m - 1), "diff": 2 * (m - 1)}
+
+    @pytest.fixture
+    def tilde_draws(self, monkeypatch):
+        # sweeps started and rows drawn from tilde_rows
+        drawn = Counter()
+        real = verify.tilde_rows
+
+        def counted():
+            drawn["sweeps"] += 1
+            for rows in real():
+                drawn["rows"] += 1
+                yield rows
+
+        monkeypatch.setattr(verify, "tilde_rows", counted)
+        return drawn
+
+    @pytest.mark.parametrize("m", [7, 30])
+    def test_theorem2_tilde_rows(self, tilde_draws, m):
+        assert verify.verify_closed_forms(m).passed
+        assert tilde_draws == {"sweeps": 1, "rows": m}
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 7, 30])
+    def test_tables_tilde_rows(self, tilde_draws, m):
+        assert verify.verify_tables(m).passed
+        assert tilde_draws == {"sweeps": 1, "rows": min(m, 5)}
 
     @pytest.mark.parametrize("m", [7, 30])
     def test_corollary(self, monkeypatch, m):
