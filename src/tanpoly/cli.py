@@ -5,10 +5,11 @@ one polynomial from the R/T/P/Q families), tan (evaluate tan(n*x) exactly
 from t = tan(x)), verify (run the identity suites).
 
 Exit codes: 0 success or all checks pass, 1 verification disagreement,
-2 usage error. Output for fixed arguments is byte-identical across runs;
-every number is printed as an exact decimal string. The bfile format is
-one "index value" pair per line with a single space, indices starting at
-1, triangles flattened row by row from the left.
+2 usage error, 74 output not written, 141 broken pipe (silent, as with
+SIGPIPE). Output for fixed arguments is byte-identical across runs; every
+number is printed as an exact decimal string. The bfile format is one
+"index value" pair per line with a single space, indices starting at 1,
+triangles flattened row by row from the left.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import operator
+import os
 import sys
 from itertools import count, islice
 
@@ -82,7 +84,7 @@ def _cmd_poly(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         print("\n".join(f"{a},{c}" for a, c in poly.terms()))
     else:
-        print(json.dumps(poly.serialize()))
+        print(json.dumps([[a, str(c)] for a, c in poly.terms()]))
     return 0
 
 
@@ -111,11 +113,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports = [verify.run_suite(name, args.max_n) for name in names]
     all_pass = all(report.passed for report in reports)
     if args.json:
-        doc = {"pass": all_pass, "reports": [report.to_dict() for report in reports]}
-        print(json.dumps(doc, indent=2))
+        docs = [
+            {"suite": r.suite, "checked": r.checked, "pass": r.passed, "failures": r.failures, "notes": r.notes}
+            for r in reports
+        ]
+        print(json.dumps({"pass": all_pass, "reports": docs}, indent=2))
     else:
         for report in reports:
-            print(report.summary())
+            if report.passed:
+                print(f"{report.suite}: pass (checked {report.checked})")
+            else:
+                print(f"{report.suite}: FAIL (checked {report.checked}, failures {len(report.failures)})")
             for record in report.failures:
                 print("  " + " ".join(f"{key}={value}" for key, value in record.items()))
     return 0 if all_pass else 1
@@ -167,16 +175,32 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     # Exact results can run past the interpreter's int -> str digit limit
-    # (4300 by default); lift it for this call only, since every number
-    # is printed in full.
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return args.func(args)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    # (4300 by default, none before 3.10.7, where it reads as 0); lift it
+    # for this call only, since every number is printed in full.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError("stdout is closed")
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        code = 141
+    except OSError as exc:
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        code = 74
     finally:
-        sys.set_int_max_str_digits(limit)
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    # Output may still be buffered; point fd 1 at os.devnull, or the flush
+    # at interpreter exit fails again and reports "Exception ignored".
+    if sys.stdout is not None and sys.stdout is sys.__stdout__:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

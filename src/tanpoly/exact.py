@@ -18,7 +18,7 @@ from fractions import Fraction
 
 
 class Rational(Fraction):
-    """Fraction built from ints only; den > 0; canonical zero is 0/1.
+    """Fraction built from ints only; denominator > 0; canonical zero is 0/1.
 
     A zero denominator raises ZeroDivisionError, which callers use for
     pole detection.
@@ -30,9 +30,6 @@ class Rational(Fraction):
         """Refuse non-int input; Fraction.__new__ has already reduced the value."""
         if not (isinstance(num, int) and isinstance(den, int)):
             raise TypeError("Rational takes an int numerator and denominator")
-
-    num = Fraction.numerator
-    den = Fraction.denominator
 
     @classmethod
     def parse(cls, text: str) -> Rational:

@@ -19,9 +19,10 @@ next item is drawn: dz_seq (apply_dz), hoffman_p_seq/hoffman_q_seq
 (_hoffman_step on parity-stride rows), tilde_rows (the Fibonacci-type
 recurrence of R_n and T_n) and r_poly_dz_seq/t_poly_dz_seq (dz_seq mapped
 through _dz_member: reduce, extract, divide by (n-1)!). dz_iter and
-hoffman_p/q return item n of theirs; r_poly_dz/t_poly_dz apply _dz_member
-once to dz_iter, so they reduce one iterate. The verify suites and the
-triangle command sweep the sequences.
+hoffman_p/q return item n of theirs through triangles._item, the one per-n
+lookup; r_poly_dz/t_poly_dz apply _dz_member once to dz_iter, so they
+reduce one iterate. The verify suites and the triangle command sweep the
+sequences.
 
 YZPoly is a sparse integer polynomial in the commuting variables y and z;
 YPoly is the same in y alone. Both share one ring implementation and differ
@@ -30,9 +31,11 @@ ReducedPair (f, g) is the canonical representative f(y) + z*g(y) of a
 YZPoly in the quotient ring Z[y, z]/(z^2 - 1 - y^2); reduced_diff is the
 derivation on such pairs. P_n and Q_n are stepped as dense rows of one
 parity, where row[i] is the coefficient of y^(2i+e), and made YPoly only
-when drawn. R_n, T_n come three ways that share no code: Horner's rule in
-w = 1 + y^2 on their binomial closed forms (r_poly_closed, t_poly_closed),
-the z-side operator route (r_poly_dz, t_poly_dz) and the recurrence rows.
+when drawn; _stride_poly is the one conversion from such a row, and the
+closed forms of R_n and T_n go through it too. R_n, T_n come three ways
+that share no code: Horner's rule in w = 1 + y^2 on their binomial closed
+forms (r_poly_closed, t_poly_closed), the z-side operator route
+(r_poly_dz, t_poly_dz) and the recurrence rows.
 All values are immutable, the rows tilde_rows yields included (tuples),
 and functions are pure; nothing here uses floating point.
 
@@ -47,7 +50,7 @@ import operator
 from itertools import chain, count, islice, pairwise, repeat, starmap
 from typing import Iterator, Mapping, NamedTuple
 
-from .triangles import r_coef, t_coef
+from .triangles import _item, r_coef, t_coef
 
 
 class InternalInconsistencyError(Exception):
@@ -165,10 +168,6 @@ class YPoly(_SparsePoly):
                 _add(product, a + a2, c * c2)
         return product
 
-    def serialize(self) -> list[list]:
-        """[[exponent, coefficient-as-decimal-string], ...] in canonical order."""
-        return [[a, str(c)] for a, c in self.terms()]
-
     @staticmethod
     def _monomial(a: int) -> str:
         if a == 0:
@@ -272,13 +271,6 @@ def dz_iter(n: int, seed: YZPoly) -> YZPoly:
     return _item(dz_seq(seed), n)
 
 
-def _item(seq: Iterator, n: int):
-    """Item n of seq, whose items are numbered from 0."""
-    if n < 0:
-        raise ValueError("n must be at least 0")
-    return next(islice(seq, n, None))
-
-
 def reduce_z(p: YZPoly) -> ReducedPair:
     """Canonical form modulo z^2 = 1 + y^2: z^(2j) becomes w^j = (1 + y^2)^j and
     z^(2j+1) becomes z * w^j. Each parity part of (a, b) is summed by Horner's
@@ -380,7 +372,7 @@ def r_poly_closed(n: int) -> YPoly:
     R_n(y) = sum over k <= floor((n-1)/2) of
              C(n, 2k+1) * y^(n-2k-1) * (1 + y^2)^(floor(n/2) + k).
     """
-    return YPoly({2 * i + (n - 1) % 2: c for i, c in enumerate(_binomial_closed_form(n, 1))})
+    return _stride_poly(_binomial_closed_form(n, 1), (n - 1) % 2)
 
 
 def t_poly_closed(n: int) -> YPoly:
@@ -389,7 +381,7 @@ def t_poly_closed(n: int) -> YPoly:
     T_n(y) = sum over k <= floor(n/2) of
              C(n, 2k) * y^(n-2k) * (1 + y^2)^(floor((n-1)/2) + k).
     """
-    return YPoly({2 * i + n % 2: c for i, c in enumerate(_binomial_closed_form(n, 0))})
+    return _stride_poly(_binomial_closed_form(n, 0), n % 2)
 
 
 def _binomial_closed_form(n: int, odd: int) -> list[int]:

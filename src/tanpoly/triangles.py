@@ -7,8 +7,9 @@ operator p -> d/dx(sec(x) * p) expanded over tan and sec monomials; they
 are computed from their two-term recurrences and, independently, from the
 closed forms n! * C(n+1, 2k+1) and n! * C(n+1, 2k). The recurrence rows
 are the lazy sequences m_row_seq and n_row_seq of tuples, which m_row/n_row
-read and the corollary suite and triangle command sweep. The two reduced
-families Rtilde and Ttilde (A056242 and A210753) collect the
+read and the corollary suite and triangle command sweep. _item is the one
+per-n lookup into a sequence; symbolic reads its own through it too. The
+two reduced families Rtilde and Ttilde (A056242 and A210753) collect the
 coefficients of the reduced polynomial families, so their rows live in the
 symbolic module, which builds on this one; this module imports nothing
 from the package.
@@ -77,18 +78,21 @@ def n_row_seq() -> Iterator[tuple[int, ...]]:
     return _mn_row_seq(1)
 
 
+def _item(seq: Iterator, n: int):
+    """Item n of seq, whose items are numbered from 0."""
+    if n < 0:
+        raise ValueError("n must be at least 0")
+    return next(islice(seq, n, None))
+
+
 def m_row(n: int) -> tuple[int, ...]:
     """Row n of the M triangle by recurrence: k = 0 .. floor(n/2)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return next(islice(m_row_seq(), n, None))
+    return _item(m_row_seq(), n)
 
 
 def n_row(n: int) -> tuple[int, ...]:
     """Row n of the N triangle by recurrence: k = 0 .. floor((n+1)/2)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return next(islice(n_row_seq(), n, None))
+    return _item(n_row_seq(), n)
 
 
 def m_closed(n: int, k: int) -> int:

@@ -1,14 +1,15 @@
-"""The identity suites, their registry, and the report format they share.
+"""The identity suites, their registry, and the report type they share.
 
 Each suite compares two or three independent routes to the same values
 and returns a VerifyReport: how many comparisons it made and which ones
 failed. The iterated routes are the lazy sequences symbolic and triangles
 own; a suite zips each sequence once against range(...), range first, so
 no item past max_n is drawn, and steps only the plain diff route of
-hoffman itself. Reports are plain data; rendering and exit-code policy
-live in the cli module. Failure records keep every value as an exact
-decimal string so reports can be serialized without any floating point;
-a row is written as a list, [1, 5, 4].
+hoffman itself. Reports are plain data; output formats, rendering and
+exit-code policy live in the cli module. Failure records are built in
+_Tally.check and keep every value as an exact decimal string so reports
+can be serialized without any floating point; a row is written as a list,
+[1, 5, 4].
 
 The embedded rows are the first five rows of A056242 (k-part
 order-consecutive partition counts) and of A210753. They are test data,
@@ -43,11 +44,6 @@ TTILDE_GOLDEN: tuple[tuple[int, ...], ...] = (
 )
 
 
-def failure(**fields: object) -> Mapping[str, str]:
-    """Build a failure record, stringifying each value exactly."""
-    return {key: str(value) for key, value in fields.items()}
-
-
 class VerifyReport(NamedTuple):
     """Outcome of one verification suite."""
 
@@ -59,20 +55,6 @@ class VerifyReport(NamedTuple):
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "checked": self.checked,
-            "pass": self.passed,
-            "failures": [dict(f) for f in self.failures],
-            "notes": list(self.notes),
-        }
-
-    def summary(self) -> str:
-        if self.passed:
-            return f"{self.suite}: pass (checked {self.checked})"
-        return f"{self.suite}: FAIL (checked {self.checked}, failures {len(self.failures)})"
 
 
 class _Tally:
@@ -89,10 +71,10 @@ class _Tally:
         self.failures: list[Mapping[str, str]] = []
 
     def check(self, agree: bool, **fields: object) -> None:
-        """Count one comparison; record its fields when the routes disagree."""
+        """Count one comparison; record str() of each field when the routes disagree."""
         self.checked += 1
         if not agree:
-            self.failures.append(failure(**fields))
+            self.failures.append({key: str(value) for key, value in fields.items()})
 
     def report(self) -> VerifyReport:
         return VerifyReport(self.suite, self.checked, tuple(self.failures), self.notes)

@@ -91,13 +91,13 @@ def test_criterion_02_listed_polynomials():
             ("R operator", r_poly_dz(n)),
         ):
             if got != YPoly(LISTED_R[n]):
-                failures.append((label, n, got.serialize()))
+                failures.append((label, n, got.terms()))
         for label, got in (
             ("T closed", t_poly_closed(n)),
             ("T operator", t_poly_dz(n)),
         ):
             if got != YPoly(LISTED_T[n]):
-                failures.append((label, n, got.serialize()))
+                failures.append((label, n, got.terms()))
     _finish(2, "listed R_1..R_4 and T_1..T_4, both routes", 1.0, start, failures)
 
 

@@ -467,3 +467,47 @@ class TestLargeOutputs:
         # ru_maxrss is in bytes on macOS and in KiB elsewhere
         peak = maxrss if sys.platform == "darwin" else maxrss * 1024
         assert peak < bound_mb * 2**20
+
+
+def run_child(argv, **kwargs) -> subprocess.Popen:
+    """Start `python -m tanpoly argv` on this checkout, with stderr piped."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.Popen(
+        [sys.executable, "-m", "tanpoly", *argv], cwd=ROOT, env=env, stderr=subprocess.PIPE, **kwargs
+    )
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX pipes, /dev/full and fd 1")
+class TestWriteFailures:
+    """A write that fails ends the run with its own exit code, never a traceback."""
+
+    def test_broken_pipe_exits_141_silently(self):
+        # megabytes of output: the writer is still writing when the reader goes
+        child = run_child(("triangle", "--name", "Rtilde", "--rows", "1000"), stdout=subprocess.PIPE)
+        assert len(child.stdout.read(1)) == 1
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == 141
+        assert err == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [("tan", "--n", "3", "--t", "1"), ("triangle", "--name", "Rtilde", "--rows", "300", "--format", "json")],
+    )
+    def test_full_device_exits_74(self, argv):
+        with open("/dev/full", "wb") as full:
+            child = run_child(argv, stdout=full)
+            err = child.stderr.read().decode()
+        assert child.wait(timeout=120) == 74
+        assert err == "error: cannot write output: No space left on device\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("tan", "--n", "3", "--t", "1"), ("triangle", "--name", "M", "--rows", "3", "--format", "json")],
+    )
+    def test_closed_stdout_exits_74(self, argv):
+        child = run_child(argv, preexec_fn=lambda: os.close(1))
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=120) == 74
+        assert err == "error: cannot write output: stdout is closed\n"

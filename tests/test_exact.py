@@ -34,7 +34,7 @@ class TestRational:
 
     def test_canonical_zero(self):
         r = Rational(0, 7)
-        assert r.num == 0 and r.den == 1
+        assert r.numerator == 0 and r.denominator == 1
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):

@@ -99,3 +99,17 @@ def test_deleted_row_wrappers_are_gone():
         assert name not in tanpoly.__all__
         for module in (tanpoly, tanpoly.symbolic, tanpoly.triangles):
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_output_formats_and_aliases_are_gone():
+    # cli writes every output format; records are built in verify._Tally.check
+    deleted = [
+        (tanpoly.YPoly, "serialize"),
+        (tanpoly.VerifyReport, "summary"),
+        (tanpoly.VerifyReport, "to_dict"),
+        (tanpoly.verify, "failure"),
+        (tanpoly.Rational, "num"),
+        (tanpoly.Rational, "den"),
+    ]
+    for owner, name in deleted:
+        assert not hasattr(owner, name), (owner.__name__, name)

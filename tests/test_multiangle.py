@@ -66,7 +66,7 @@ class TestIntegerSums:
         # the paper's form: sum (-1)^k R(n,k) t^(2k+1) over sum (-1)^k T(n,k) t^(2k), times b^n
         for n in range(81):
             for t in DEFAULT_GRID:
-                a, b = t.num, t.den
+                a, b = t.numerator, t.denominator
                 num = sum(
                     (-1) ** k * r_coef(n, k) * a ** (2 * k + 1) * b ** (n - 2 * k - 1)
                     for k in range((n - 1) // 2 + 1)
@@ -134,7 +134,8 @@ class TestAgreement:
     def test_any_fraction_or_int_input(self):
         for n in range(21):
             for t in DEFAULT_GRID:
-                inputs = [Fraction(t.num, t.den)] + ([t.num] if t.den == 1 else [])
+                inputs = [Fraction(t.numerator, t.denominator)]
+                inputs += [t.numerator] if t.denominator == 1 else []
                 for route in (tan_beeler, tan_addition, tan_gaussian):
                     expected = route(n, t)
                     assert all(route(n, other) == expected for other in inputs)
@@ -154,7 +155,7 @@ class TestAgreement:
     def test_pole_characterization(self):
         for n in range(21):
             for t in DEFAULT_GRID:
-                g = GaussianInt(t.den, t.num) ** n
+                g = GaussianInt(t.denominator, t.numerator) ** n
                 assert tan_beeler(n, t).is_pole == (g.re == 0)
 
 

@@ -16,7 +16,6 @@ from tanpoly.verify import (
     SUITE_NAMES,
     TTILDE_GOLDEN,
     VerifyReport,
-    failure,
     run_all,
     run_suite,
     verify_tables,
@@ -24,26 +23,47 @@ from tanpoly.verify import (
 
 
 class TestReport:
-    def test_passes_when_no_failures(self):
-        report = VerifyReport("demo", 10)
-        assert report.passed
-        assert report.summary() == "demo: pass (checked 10)"
+    """A report is plain data; `verify` writes its summary line and its JSON dict."""
 
-    def test_failure_rendering(self):
-        report = VerifyReport("demo", 3, (failure(n=2, k=1, lhs=5, rhs=6),))
+    def test_passes_when_no_failures(self, capsys):
+        assert VerifyReport("demo", 10).passed
+        assert cli.main(["verify", "--suite", "tables", "--max-n", "7"]) == 0
+        assert capsys.readouterr().out == "tables: pass (checked 10)\n"
+
+    def test_failure_rendering(self, monkeypatch, capsys):
+        report = VerifyReport("demo", 3, ({"n": "2", "k": "1", "lhs": "5", "rhs": "6"},))
         assert not report.passed
-        assert report.summary() == "demo: FAIL (checked 3, failures 1)"
-        assert report.failures[0] == {"n": "2", "k": "1", "lhs": "5", "rhs": "6"}
+        module, name, patch, _, _ = FAULTS["tables"]
+        monkeypatch.setattr(module, name, patch(getattr(module, name)))
+        assert cli.main(["verify", "--suite", "tables", "--max-n", "7"]) == 1
+        assert capsys.readouterr().out == (
+            "tables: FAIL (checked 10, failures 1)\n"
+            "  family=Rtilde n=3 got=[1, 5, 5] want=[1, 5, 4]\n"
+        )
 
-    def test_to_dict(self):
-        report = VerifyReport("demo", 2, notes=("a note",))
-        assert report.to_dict() == {
-            "suite": "demo",
-            "checked": 2,
+    def test_json_report_dicts(self, monkeypatch, capsys):
+        note = (
+            "N is checked on its full defining range k <= floor((n+1)/2), one column wider than "
+            "the M range k <= floor(n/2); the closed form holds on the wider range as well."
+        )
+        keys = ["suite", "checked", "pass", "failures", "notes"]
+        assert cli.main(["verify", "--suite", "corollary", "--max-n", "7", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {
             "pass": True,
-            "failures": [],
-            "notes": ["a note"],
+            "reports": [{"suite": "corollary", "checked": 44, "pass": True, "failures": [], "notes": [note]}],
         }
+        assert list(doc) == ["pass", "reports"] and list(doc["reports"][0]) == keys
+
+        module, name, patch, _, record = FAULTS["tables"]
+        monkeypatch.setattr(module, name, patch(getattr(module, name)))
+        assert cli.main(["verify", "--suite", "tables", "--max-n", "7", "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {
+            "pass": False,
+            "reports": [{"suite": "tables", "checked": 10, "pass": False, "failures": [record], "notes": []}],
+        }
+        assert list(doc["reports"][0]) == keys
 
 
 class TestGoldenTables:
