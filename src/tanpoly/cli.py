@@ -4,12 +4,14 @@ Subcommands: triangle (emit rows of one of the six triangles), poly (emit
 one polynomial from the R/T/P/Q families), tan (evaluate tan(n*x) exactly
 from t = tan(x)), verify (run the identity suites).
 
-Exit codes: 0 success or all checks pass, 1 verification disagreement,
-2 usage error, 74 output not written, 141 broken pipe (silent, as with
-SIGPIPE). Output for fixed arguments is byte-identical across runs; every
-number is printed as an exact decimal string. The bfile format is one
-"index value" pair per line with a single space, indices starting at 1,
-triangles flattened row by row from the left.
+Exit codes: 0 success or all checks pass, 1 verification disagreement, 2
+usage error, 74 output not written, 141 broken pipe (silent, as with
+SIGPIPE). With stderr closed or failing the codes are the same and
+nothing extra reaches stdout; _fail writes every error line. Output for
+fixed arguments is byte-identical across runs; every number is printed
+as an exact decimal string. The bfile format is one "index value" pair
+per line with a single space, indices starting at 1, triangles flattened
+row by row from the left.
 """
 
 from __future__ import annotations
@@ -43,17 +45,30 @@ _FAMILIES = {
 }
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+def _fail(code: int, message: str) -> int:
+    """Write the one error line for code; a closed or failing stderr leaves
+    the code and stdout as they are."""
+    _flush(sys.stderr, f"error: {message}\n")
+    return code
+
+
+def _flush(stream, text: str = "") -> None:
+    """Write text to stream and flush it. If that fails, point the stream's fd
+    at os.devnull, or the flush at interpreter exit fails on the same bytes."""
+    try:
+        print(text, end="", file=stream, flush=True)
+    except OSError:
+        if stream is sys.__stdout__ or stream is sys.__stderr__:
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), stream.fileno())
 
 
 def _cmd_triangle(args: argparse.Namespace) -> int:
     rows_fn, first, cap = _TRIANGLES[args.name]
     if args.rows < 1:
-        return _usage_error("--rows must be at least 1")
+        return _fail(2, "--rows must be at least 1")
     if cap is not None and args.rows > cap:
-        return _usage_error(f"--rows is capped at {cap} for {args.name}")
+        return _fail(2, f"--rows is capped at {cap} for {args.name}")
     # Rows are drawn and written one at a time, so memory holds one row.
     rows = islice(rows_fn(), args.rows)
     if args.format == "json":
@@ -77,7 +92,7 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
 def _cmd_poly(args: argparse.Namespace) -> int:
     poly_fn, min_n = _FAMILIES[args.family]
     if args.n < min_n:
-        return _usage_error(f"--n must be at least {min_n} for family {args.family}")
+        return _fail(2, f"--n must be at least {min_n} for family {args.family}")
     poly = poly_fn(args.n)
     if args.format == "table":
         print(poly)
@@ -90,11 +105,11 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 def _cmd_tan(args: argparse.Namespace) -> int:
     if args.n < 0:
-        return _usage_error("--n must be nonnegative")
+        return _fail(2, "--n must be nonnegative")
     try:
         t = Rational.parse(args.t)
     except (ValueError, ZeroDivisionError):
-        return _usage_error(f"--t must be an exact rational like 3/7, got {args.t!r}")
+        return _fail(2, f"--t must be an exact rational like 3/7, got {args.t!r}")
     if args.method != "all":
         print(multiangle.METHODS[args.method](args.n, t))
         return 0
@@ -108,7 +123,7 @@ def _cmd_tan(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n < 1:
-        return _usage_error("--max-n must be at least 1")
+        return _fail(2, "--max-n must be at least 1")
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
     reports = [verify.run_suite(name, args.max_n) for name in names]
     all_pass = all(report.passed for report in reports)
@@ -156,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run identity verification suites")
     p_ver.add_argument("--suite", required=True, choices=list(verify.SUITE_NAMES) + ["all"])
-    p_ver.add_argument("--max-n", dest="max_n", type=int, default=12)
+    p_ver.add_argument("--max-n", type=int, default=12)
     p_ver.add_argument("--json", action="store_true", help="emit the report as JSON")
     p_ver.set_defaults(func=_cmd_verify)
 
@@ -164,16 +179,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stderr is None:  # fd 2 was closed when the interpreter started
+        sys.stderr = open(os.devnull, "w")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help; keep main()
         # returning an int so callers and tests never see SystemExit.
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+        _flush(sys.stderr)
+        return exc.code
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        return _fail(74, "cannot write output: stdout is closed")
     # Exact results can run past the interpreter's int -> str digit limit
     # (4300 by default, none before 3.10.7, where it reads as 0); lift it
     # for this call only, since every number is printed in full.
@@ -181,25 +198,16 @@ def main(argv: list[str] | None = None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        if sys.stdout is None:  # fd 1 was closed when the interpreter started
-            raise OSError("stdout is closed")
         code = args.func(args)
         sys.stdout.flush()
-        return code
     except BrokenPipeError:
         code = 141
     except OSError as exc:
-        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
-        code = 74
+        code = _fail(74, f"cannot write output: {exc.strerror or exc}")
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    # Output may still be buffered; point fd 1 at os.devnull, or the flush
-    # at interpreter exit fails again and reports "Exception ignored".
-    if sys.stdout is not None and sys.stdout is sys.__stdout__:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    _flush(sys.stdout)
     return code
 
 

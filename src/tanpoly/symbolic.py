@@ -18,11 +18,11 @@ Each iterated route is one lazy sequence, which takes a step only when its
 next item is drawn: dz_seq (apply_dz), hoffman_p_seq/hoffman_q_seq
 (_hoffman_step on parity-stride rows), tilde_rows (the Fibonacci-type
 recurrence of R_n and T_n) and r_poly_dz_seq/t_poly_dz_seq (dz_seq mapped
-through _dz_member: reduce, extract, divide by (n-1)!). dz_iter and
-hoffman_p/q return item n of theirs through triangles._item, the one per-n
-lookup; r_poly_dz/t_poly_dz apply _dz_member once to dz_iter, so they
-reduce one iterate. The verify suites and the triangle command sweep the
-sequences.
+through _dz_member, which reduces, checks and divides by (n-1)! in one
+place). dz_iter and hoffman_p/q return item n of theirs through
+triangles._item, the one per-n lookup; r_poly_dz/t_poly_dz apply _dz_member
+once to dz_iter, so they reduce one iterate. The verify suites and the
+triangle command sweep the sequences.
 
 YZPoly is a sparse integer polynomial in the commuting variables y and z;
 YPoly is the same in y alone. Both share one ring implementation and differ
@@ -32,10 +32,11 @@ YZPoly in the quotient ring Z[y, z]/(z^2 - 1 - y^2); reduced_diff is the
 derivation on such pairs. P_n and Q_n are stepped as dense rows of one
 parity, where row[i] is the coefficient of y^(2i+e), and made YPoly only
 when drawn; _stride_poly is the one conversion from such a row, and the
-closed forms of R_n and T_n go through it too. R_n, T_n come three ways
-that share no code: Horner's rule in w = 1 + y^2 on their binomial closed
-forms (r_poly_closed, t_poly_closed), the z-side operator route
-(r_poly_dz, t_poly_dz) and the recurrence rows.
+closed forms of R_n and T_n go through it too, from _binomial_closed_form,
+which sets their parity. R_n, T_n come three ways that share no code:
+Horner's rule in w = 1 + y^2 on their binomial closed forms (r_poly_closed,
+t_poly_closed), the z-side operator route (r_poly_dz, t_poly_dz) and the
+recurrence rows.
 All values are immutable, the rows tilde_rows yields included (tuples),
 and functions are pure; nothing here uses floating point.
 
@@ -372,7 +373,7 @@ def r_poly_closed(n: int) -> YPoly:
     R_n(y) = sum over k <= floor((n-1)/2) of
              C(n, 2k+1) * y^(n-2k-1) * (1 + y^2)^(floor(n/2) + k).
     """
-    return _stride_poly(_binomial_closed_form(n, 1), (n - 1) % 2)
+    return _binomial_closed_form(n, 1)
 
 
 def t_poly_closed(n: int) -> YPoly:
@@ -381,14 +382,15 @@ def t_poly_closed(n: int) -> YPoly:
     T_n(y) = sum over k <= floor(n/2) of
              C(n, 2k) * y^(n-2k) * (1 + y^2)^(floor((n-1)/2) + k).
     """
-    return _stride_poly(_binomial_closed_form(n, 0), n % 2)
+    return _binomial_closed_form(n, 0)
 
 
-def _binomial_closed_form(n: int, odd: int) -> list[int]:
-    """The n coefficients of y^e, y^(e+2), ..., e = (n-odd) % 2, in the sum over
-    k <= K = floor((n-odd)/2) of C(n, 2k+odd) * y^(n-2k-odd) * w^(floor((n-1+odd)/2) + k),
-    w = 1 + y^2. All terms have one degree in y^2, so Horner's rule in w runs
-    from the top (one shift-add per step).
+def _binomial_closed_form(n: int, odd: int) -> YPoly:
+    """R_n (odd = 1) or T_n (odd = 0): the sum over k <= K = floor((n-odd)/2) of
+    C(n, 2k+odd) * y^(n-2k-odd) * w^(floor((n-1+odd)/2) + k), w = 1 + y^2, as
+    the YPoly of its n coefficients of y^e, y^(e+2), ..., e = (n-odd) % 2, the
+    one place the parity is set. All terms have one degree in y^2, so Horner's
+    rule in w runs from the top (one shift-add per step).
     """
     if n < 1:
         raise ValueError("family is defined for n >= 1")
@@ -399,7 +401,7 @@ def _binomial_closed_form(n: int, odd: int) -> list[int]:
         acc = list(map(operator.add, acc + [0], [0] + acc))
         if k >= 0:
             acc[-1] += coef(n, k)
-    return acc
+    return _stride_poly(acc, (n - odd) % 2)
 
 
 def tilde_rows() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -464,16 +466,14 @@ def t_poly_dz(n: int) -> YPoly:
 
 
 def _dz_member(n: int, p: YZPoly, odd: int) -> YPoly:
-    """Member n from the (n-1)-th iterate p: on the z part if n % 2 == odd, scale (n-1)!."""
-    return _extract_scaled(reduce_z(p), n % 2 == odd, math.factorial(n - 1))
-
-
-def _extract_scaled(pair: ReducedPair, z_part: bool, scale: int) -> YPoly:
-    """The z (or z-free) part of a reduced iterate divided by scale; a nonzero
-    other part or an inexact division raises InternalInconsistencyError."""
-    kept, dropped, where = (pair.g, pair.f, "z-free") if z_part else (pair.f, pair.g, "z")
+    """Member n from the (n-1)-th iterate p: reduce p, keep its z part if
+    n % 2 == odd (else its z-free part) and divide by (n-1)!. A nonzero other
+    part or an inexact division raises InternalInconsistencyError."""
+    f, g = reduce_z(p)
+    kept, dropped, where = (g, f, "z-free") if n % 2 == odd else (f, g, "z")
     if dropped:
         raise InternalInconsistencyError(f"unexpected {where} component: {dropped}")
+    scale = math.factorial(n - 1)
     quotient: dict[int, int] = {}
     for a, c in kept._coef.items():
         q, rem = divmod(c, scale)

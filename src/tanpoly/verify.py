@@ -181,7 +181,7 @@ def verify_closed_forms(max_n: int) -> VerifyReport:
     return tally.report()
 
 
-def verify_tables(max_n: int = 5) -> VerifyReport:
+def verify_tables(max_n: int) -> VerifyReport:
     """Compare the Rtilde/Ttilde rows of tilde_rows with the golden rows.
 
     Golden data covers rows 1..5; larger max_n checks the same five rows

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import tanpoly
+import tanpoly.cli
 
 PACKAGE = Path(tanpoly.__file__).resolve().parent
 
@@ -113,3 +114,9 @@ def test_output_formats_and_aliases_are_gone():
     ]
     for owner, name in deleted:
         assert not hasattr(owner, name), (owner.__name__, name)
+
+
+def test_split_helpers_are_gone():
+    # cli._fail writes every error line; symbolic._dz_member reduces, checks and divides
+    assert not hasattr(tanpoly.cli, "_usage_error")
+    assert not hasattr(tanpoly.symbolic, "_extract_scaled")

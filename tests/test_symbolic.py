@@ -26,7 +26,7 @@ from tanpoly.symbolic import (
     ReducedPair,
     YPoly,
     YZPoly,
-    _extract_scaled,
+    _dz_member,
     apply_dz,
     diff,
     dz_iter,
@@ -406,10 +406,10 @@ class TestRTFamilies:
 
     def test_exact_division_guard(self):
         with pytest.raises(InternalInconsistencyError):
-            _extract_scaled(ReducedPair(YPoly({0: 3}), YPoly.zero()), False, 2)
+            _dz_member(3, YZPoly({(0, 0): 3}), 0)
         # the part of the other parity must be zero
         with pytest.raises(InternalInconsistencyError):
-            _extract_scaled(ReducedPair(YPoly({0: 2}), YPoly({1: 2})), False, 2)
+            _dz_member(3, YZPoly({(0, 0): 2, (1, 1): 2}), 0)
 
 
 class TestVerifySuites:

@@ -10,7 +10,7 @@ import pytest
 from tanpoly import cli, symbolic, verify
 from tanpoly.exact import Rational
 from tanpoly.multiangle import TanValue
-from tanpoly.symbolic import YPoly, YZPoly, dz_iter, reduce_z
+from tanpoly.symbolic import YPoly, YZPoly, dz_iter
 from tanpoly.verify import (
     RTILDE_GOLDEN,
     SUITE_NAMES,
@@ -206,7 +206,7 @@ FAULTS = {
         },
     ),
     "theorem2": (
-        symbolic, "_extract_scaled", inject((reduce_z(dz_iter(3, YZPoly.z())), False, 6), lambda p: p + YPoly.y()), 28,
+        symbolic, "_dz_member", inject((4, dz_iter(3, YZPoly.z()), 1), lambda p: p + YPoly.y()), 28,
         {
             "family": "R",
             "n": "4",
@@ -361,7 +361,7 @@ class TestOneReductionPerCall:
     @pytest.mark.parametrize("m", [7, 30])
     def test_per_n_call(self, monkeypatch, fn, m):
         calls = Counter()
-        for name in ("reduce_z", "_extract_scaled", "apply_dz"):
+        for name in ("reduce_z", "_dz_member", "apply_dz"):
 
             def counted(*args, name=name, real=getattr(symbolic, name)):
                 calls[name] += 1
@@ -369,4 +369,4 @@ class TestOneReductionPerCall:
 
             monkeypatch.setattr(symbolic, name, counted)
         fn(m)
-        assert calls == {"reduce_z": 1, "_extract_scaled": 1, "apply_dz": m - 1}
+        assert calls == {"reduce_z": 1, "_dz_member": 1, "apply_dz": m - 1}
