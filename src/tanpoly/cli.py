@@ -7,7 +7,8 @@ from t = tan(x)), verify (run the identity suites).
 Exit codes: 0 success or all checks pass, 1 verification disagreement, 2
 usage error, 74 output not written, 141 broken pipe (silent, as with
 SIGPIPE). With stderr closed or failing the codes are the same and
-nothing extra reaches stdout; _fail writes every error line. Output for
+nothing extra reaches stdout; _fail writes every error line, and
+argparse's help and usage messages go through the same writers. Output for
 fixed arguments is byte-identical across runs; every number is printed
 as an exact decimal string. The bfile format is one "index value" pair
 per line with a single space, indices starting at 1, triangles flattened
@@ -144,8 +145,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_pass else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its output on cli's writers. Messages for stderr go
+    through _flush, so a failing stderr leaves the exit code as it is; help
+    and usage for stdout are written and flushed here, so a failing stdout
+    leaves parse_args as OSError and main turns it into 74 or 141. Subparsers
+    are made with the parser's own class."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if file is sys.stderr:
+            _flush(file, message)
+        elif file is None:  # sys.stdout, as in _run
+            raise OSError("stdout is closed")
+        else:
+            print(message, end="", file=file, flush=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tanpoly",
         description="Exact tangent multiple-angle triangles, polynomial families, and identity verification.",
     )
@@ -181,16 +198,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if sys.stderr is None:  # fd 2 was closed when the interpreter started
         sys.stderr = open(os.devnull, "w")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        code = _run(argv)
+    except BrokenPipeError:
+        code = 141
+    except OSError as exc:
+        code = _fail(74, f"cannot write output: {exc.strerror or exc}")
+    _flush(sys.stdout)
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
+    """Parse argv and run its command; a closed or failing stdout raises OSError."""
+    try:
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help; keep main()
         # returning an int so callers and tests never see SystemExit.
-        _flush(sys.stderr)
         return exc.code
     if sys.stdout is None:  # fd 1 was closed when the interpreter started
-        return _fail(74, "cannot write output: stdout is closed")
+        raise OSError("stdout is closed")
     # Exact results can run past the interpreter's int -> str digit limit
     # (4300 by default, none before 3.10.7, where it reads as 0); lift it
     # for this call only, since every number is printed in full.
@@ -200,14 +227,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
-    except BrokenPipeError:
-        code = 141
-    except OSError as exc:
-        code = _fail(74, f"cannot write output: {exc.strerror or exc}")
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    _flush(sys.stdout)
     return code
 
 

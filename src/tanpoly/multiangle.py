@@ -17,7 +17,9 @@ cleanly, and powers of the Gaussian integer q + p*i for t = p/q, whose
 real and imaginary parts are exactly the alternating sums above scaled by
 q^n. A pole is a value, not an error: it occurs exactly when the
 denominator sum vanishes. For n = 0 the numerator sum is empty and the
-result is 0.
+result is 0. The pairs of one t form a lazy sequence: tan_addition_seq
+reduces each to a value, for a sweep over n, and tan_addition(n, t)
+reduces only item n.
 
 Every route takes t as any fractions.Fraction or int (Rational arithmetic
 returns plain Fractions) and reads only its numerator and denominator.
@@ -27,7 +29,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import islice, starmap
+from typing import Iterator, NamedTuple
 
 from .exact import GaussianInt, Rational
 
@@ -87,23 +90,39 @@ def tan_beeler(n: int, t: Fraction | int) -> TanValue:
     return TanValue(Rational(num, den))
 
 
-def tan_addition(n: int, t: Fraction | int) -> TanValue:
-    """tan(n * arctan(t)) by iterating the tangent angle-addition formula.
+def _addition_pairs(t: Fraction | int) -> Iterator[tuple[int, int]]:
+    """Projective pairs (p, q) with tan(n * arctan(t)) = p/q for n = 0, 1, ...
 
-    The running value is a projective pair (p : q) with tan = p/q, updated
-    by (p, q) -> (p*b + a*q, q*b - a*p) for t = a/b. The pair never
-    collapses to (0, 0) because each step multiplies by a matrix of
-    determinant a^2 + b^2 > 0, so poles (q = 0) propagate consistently.
+    Each step is the tangent angle-addition formula, (p, q) -> (p*b + a*q,
+    q*b - a*p) for t = a/b. The pair never collapses to (0, 0) because each
+    step multiplies by a matrix of determinant a^2 + b^2 > 0, so poles (q = 0)
+    propagate consistently. No gcd is taken, so the pairs grow like (a^2 + b^2)^(n/2).
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     a, b = t.numerator, t.denominator
     p, q = 0, 1
-    for _ in range(n):
+    while True:
+        yield p, q
         p, q = p * b + a * q, q * b - a * p
+
+
+def _pair_value(p: int, q: int) -> TanValue:
+    """The TanValue of the pair (p : q), reduced by one gcd."""
     if q == 0:
         return POLE
     return TanValue(Rational(p, q))
+
+
+def tan_addition_seq(t: Fraction | int) -> Iterator[TanValue]:
+    """tan(n * arctan(t)) for n = 0, 1, ... by iterated angle addition."""
+    return starmap(_pair_value, _addition_pairs(t))
+
+
+def tan_addition(n: int, t: Fraction | int) -> TanValue:
+    """tan(n * arctan(t)) by iterating the tangent angle-addition formula,
+    item n of tan_addition_seq: the pair is reduced once, after the last step."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _pair_value(*next(islice(_addition_pairs(t), n, None)))
 
 
 def tan_gaussian(n: int, t: Fraction | int) -> TanValue:

@@ -17,26 +17,34 @@ T_n at even or odd powers of y; tilde_rows yields both rows of each n.
 Each iterated route is one lazy sequence, which takes a step only when its
 next item is drawn: dz_seq (apply_dz), hoffman_p_seq/hoffman_q_seq
 (_hoffman_step on parity-stride rows), tilde_rows (the Fibonacci-type
-recurrence of R_n and T_n) and r_poly_dz_seq/t_poly_dz_seq (dz_seq mapped
-through _dz_member, which reduces, checks and divides by (n-1)! in one
-place). dz_iter and hoffman_p/q return item n of theirs through
-triangles._item, the one per-n lookup; r_poly_dz/t_poly_dz apply _dz_member
-once to dz_iter, so they reduce one iterate. The verify suites and the
+recurrence of R_n and T_n) and r_poly_dz_seq/t_poly_dz_seq (_dz_step on
+parity-stride rows). dz_iter, hoffman_p/q and r_poly_dz/t_poly_dz return
+item n (n-1 for R and T) of theirs through triangles._item, the one per-n
+lookup, and make only that item a YPoly. The verify suites and the
 triangle command sweep the sequences.
+
+The operator route to R_n and T_n runs in the quotient ring. Only one part
+of each reduced iterate is nonzero, so it is carried as one row, divided
+by (n-1)! as member n: z*(z*g) = (1 + y^2)*g is z-free and z*f is the z
+part of f, after which the derivative is the P or the Q step of
+_hoffman_step. _dz_step takes that step and divides by n, exactly, to reach
+member n+1; no iterate is reduced and no coefficient grows by a factorial.
+reduce_z, which reduces a whole YZPoly, serves the hoffman suite and the
+tests, which pin the reduction of the iterates of dz_seq to these rows.
 
 YZPoly is a sparse integer polynomial in the commuting variables y and z;
 YPoly is the same in y alone. Both share one ring implementation and differ
 only in the monomial key, the product, evaluation and rendering.
 ReducedPair (f, g) is the canonical representative f(y) + z*g(y) of a
 YZPoly in the quotient ring Z[y, z]/(z^2 - 1 - y^2); reduced_diff is the
-derivation on such pairs. P_n and Q_n are stepped as dense rows of one
-parity, where row[i] is the coefficient of y^(2i+e), and made YPoly only
-when drawn; _stride_poly is the one conversion from such a row, and the
-closed forms of R_n and T_n go through it too, from _binomial_closed_form,
-which sets their parity. R_n, T_n come three ways that share no code:
-Horner's rule in w = 1 + y^2 on their binomial closed forms (r_poly_closed,
-t_poly_closed), the z-side operator route (r_poly_dz, t_poly_dz) and the
-recurrence rows.
+derivation on such pairs. P_n and Q_n, and R_n and T_n on the operator
+route, are stepped as dense rows of one parity, where row[i] is the
+coefficient of y^(2i+e), and made YPoly only when drawn; _stride_poly is
+the one conversion from such a row, and the closed forms of R_n and T_n go
+through it too, from _binomial_closed_form, which sets their parity. R_n,
+T_n come three ways that share no code: Horner's rule in w = 1 + y^2 on
+their binomial closed forms (r_poly_closed, t_poly_closed), the operator
+route on rows (r_poly_dz, t_poly_dz) and the recurrence rows.
 All values are immutable, the rows tilde_rows yields included (tuples),
 and functions are pure; nothing here uses floating point.
 
@@ -46,9 +54,8 @@ ascending y-exponent, then ascending z-exponent.
 
 from __future__ import annotations
 
-import math
 import operator
-from itertools import chain, count, islice, pairwise, repeat, starmap
+from itertools import chain, count, islice, pairwise, starmap
 from typing import Iterator, Mapping, NamedTuple
 
 from .triangles import _item, r_coef, t_coef
@@ -321,10 +328,10 @@ def reduced_diff(pair: ReducedPair) -> ReducedPair:
 def _hoffman_step(row: list[int], e: int, s: int) -> list[int]:
     """One derivative step on a parity-stride row, row[i] the coefficient of
     y^(2i+e): c*y^a -> a*c*y^(a-1) + (a+s)*c*y^(a+1), with s = 0 for P and
-    s = 1 for Q. The result has parity 1 - e. Entry j sums the a*c of its two
-    neighbours, so each a*c is made once and fed to both through pairwise; s
-    adds the old row one place up. For e = 0 the first sum holds only 0*c and
-    is dropped."""
+    s = 1 for Q (_dz_step takes both). The result has parity 1 - e. Entry j
+    sums the a*c of its two neighbours, so each a*c is made once and fed to
+    both through pairwise; s adds the old row one place up. For e = 0 the
+    first sum holds only 0*c and is dropped."""
     sums = starmap(operator.add, pairwise(chain((0,), map(operator.mul, count(e, 2), row), (0,))))
     if s:
         sums = map(operator.add, sums, chain((0,), row))
@@ -437,47 +444,62 @@ def tilde_rows() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         t = tuple(map(operator.add, (*sum_t, 0), (0, *sum_t)))
 
 
+def _dz_step(row: list[int], e: int, n: int) -> list[int]:
+    """The row of member n+1 of R or T from the parity-stride row of member n.
+
+    The (n-1)-th iterate is (n-1)! times member n, as the z part when e = 0
+    and z-free when e = 1. apply_dz multiplies by z and differentiates: z*(z*g)
+    is the z-free w*g, whose derivative w*(w*g)' is the P step (s = 0); z*f
+    is the z part of f, whose derivative z*(w*f' + y*f) is the Q step (s = 1).
+    So s = e, the z part first takes one shift-add for w, and the result, the
+    n-th iterate over (n-1)!, is divided by n. A remainder raises
+    InternalInconsistencyError; nothing is truncated or rounded.
+    """
+    stepped = _hoffman_step(row if e else list(map(operator.add, row + [0], [0] + row)), e, e)
+    quotient = []
+    for i, c in enumerate(stepped):
+        q, rem = divmod(c, n)
+        if rem:
+            raise InternalInconsistencyError(f"coefficient {c} of y^{2 * i + 1 - e} not divisible by {n}")
+        quotient.append(q)
+    return quotient
+
+
+def _dz_rows(e: int) -> Iterator[tuple[list[int], int]]:
+    """(row, parity) of member 1, 2, ... by _dz_step, from the row [1]: R from z
+    (e = 0, the z part) and T from y (e = 1, z-free)."""
+    row = [1]
+    for n in count(1):
+        yield row, e
+        row = _dz_step(row, e, n)
+        e = 1 - e
+
+
 def r_poly_dz_seq() -> Iterator[YPoly]:
-    """R_1, R_2, ... from the iterates on z: R_n is the z-free part (even n)
-    or z part (odd n) of the reduced (n-1)-th iterate, divided by (n-1)!. A
-    nonzero other part or an inexact division raises InternalInconsistencyError,
-    since the parity structure would be broken; nothing is truncated or rounded."""
-    return map(_dz_member, count(1), dz_seq(YZPoly.z()), repeat(1))
+    """R_1, R_2, ... from the iterates on z: R_n is the (n-1)-th iterate over
+    (n-1)!, its z part for odd n and z-free for even n."""
+    return starmap(_stride_poly, _dz_rows(0))
 
 
 def t_poly_dz_seq() -> Iterator[YPoly]:
-    """T_1, T_2, ... from the iterates on y, with the parity of r_poly_dz_seq
-    reversed: odd n sits on the z-free part, even n on the z part."""
-    return map(_dz_member, count(1), dz_seq(YZPoly.y()), repeat(0))
+    """T_1, T_2, ... from the iterates on y, with the parts of r_poly_dz_seq
+    swapped: odd n is z-free, even n the z part."""
+    return starmap(_stride_poly, _dz_rows(1))
 
 
 def r_poly_dz(n: int) -> YPoly:
     """R_n by the operator route, item n-1 of r_poly_dz_seq, for n >= 1."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return _dz_member(n, dz_iter(n - 1, YZPoly.z()), 1)
+    return _dz_member(n, 0)
 
 
 def t_poly_dz(n: int) -> YPoly:
     """T_n by the operator route, item n-1 of t_poly_dz_seq, for n >= 1."""
+    return _dz_member(n, 1)
+
+
+def _dz_member(n: int, e: int) -> YPoly:
+    """Member n >= 1 of R (e = 0) or T (e = 1): the row is drawn from _dz_rows
+    and made a YPoly once."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _dz_member(n, dz_iter(n - 1, YZPoly.y()), 0)
-
-
-def _dz_member(n: int, p: YZPoly, odd: int) -> YPoly:
-    """Member n from the (n-1)-th iterate p: reduce p, keep its z part if
-    n % 2 == odd (else its z-free part) and divide by (n-1)!. A nonzero other
-    part or an inexact division raises InternalInconsistencyError."""
-    f, g = reduce_z(p)
-    kept, dropped, where = (g, f, "z-free") if n % 2 == odd else (f, g, "z")
-    if dropped:
-        raise InternalInconsistencyError(f"unexpected {where} component: {dropped}")
-    scale = math.factorial(n - 1)
-    quotient: dict[int, int] = {}
-    for a, c in kept._coef.items():
-        q, rem = divmod(c, scale)
-        if rem:
-            raise InternalInconsistencyError(f"coefficient {c} of y^{a} not divisible by {scale}")
-        quotient[a] = q
-    return YPoly(quotient)
+    return _stride_poly(*_item(_dz_rows(e), n - 1))

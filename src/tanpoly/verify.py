@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, NamedTuple
 
-from .multiangle import DEFAULT_GRID, tan_addition, tan_beeler, tan_gaussian
+from .multiangle import DEFAULT_GRID, tan_addition_seq, tan_beeler, tan_gaussian
 from .symbolic import ReducedPair, YPoly, YZPoly, diff, dz_seq, hoffman_p_seq, hoffman_q_seq, reduce_z
 from .symbolic import r_poly_closed, r_poly_dz_seq, t_poly_closed, t_poly_dz_seq, tilde_rows
 from .triangles import m_closed, m_row_seq, n_closed, n_row_seq, r_coef, t_coef
@@ -199,13 +199,16 @@ def verify_triple_agreement(max_n: int) -> VerifyReport:
     """Evaluate all three routes over 0 <= n <= max_n on the grid.
 
     Agreement is exact equality of TanValue, poles included. Points are
-    visited in a fixed (n, t) order so the report is deterministic.
+    visited in a fixed (n, t) order so the report is deterministic. The
+    addition route is one tan_addition_seq per grid point, advanced once
+    per n.
     """
     tally = _Tally("beeler", max_n, 0)
+    additions = [tan_addition_seq(t) for t in DEFAULT_GRID]
     for n in range(max_n + 1):
-        for t in DEFAULT_GRID:
+        for t, addition in zip(DEFAULT_GRID, additions):
             by_ratio = tan_beeler(n, t)
-            by_addition = tan_addition(n, t)
+            by_addition = next(addition)
             by_gaussian = tan_gaussian(n, t)
             agree = by_ratio == by_addition == by_gaussian
             tally.check(agree, n=n, t=t, beeler=by_ratio, addition=by_addition, gaussian=by_gaussian)

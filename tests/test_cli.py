@@ -490,10 +490,27 @@ class TestWriteFailures:
         assert child.wait(timeout=120) == 141
         assert err == b""
 
+    def test_help_to_a_pipe_without_reader_exits_141_silently(self):
+        # the read end is closed before the child starts, so its first write fails
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = run_child(("--help",), stdout=write)
+        finally:
+            os.close(write)
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == 141
+        assert err == b""
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize(
         "argv",
-        [("tan", "--n", "3", "--t", "1"), ("triangle", "--name", "Rtilde", "--rows", "300", "--format", "json")],
+        [
+            ("tan", "--n", "3", "--t", "1"),
+            ("triangle", "--name", "Rtilde", "--rows", "300", "--format", "json"),
+            ("--help",),
+            ("verify", "--help"),
+        ],
     )
     def test_full_device_exits_74(self, argv):
         with open("/dev/full", "wb") as full:
@@ -504,7 +521,11 @@ class TestWriteFailures:
 
     @pytest.mark.parametrize(
         "argv",
-        [("tan", "--n", "3", "--t", "1"), ("triangle", "--name", "M", "--rows", "3", "--format", "json")],
+        [
+            ("tan", "--n", "3", "--t", "1"),
+            ("triangle", "--name", "M", "--rows", "3", "--format", "json"),
+            ("--help",),
+        ],
     )
     def test_closed_stdout_exits_74(self, argv):
         child = run_child(argv, preexec_fn=lambda: os.close(1))
@@ -519,24 +540,28 @@ class TestClosedOrFailingStderr:
     (/dev/full), buffered or not, each exit code stays as it is and nothing
     extra reaches stdout."""
 
+    HELP = object()  # stands for the text of --help
     CASES = {
         "argparse-error": (("triangle", "--name", "R", "--rows", "abc"), 2, b""),
         "usage-error": (("triangle", "--name", "R", "--rows", "0"), 2, b""),
         "stdout-full": (("tan", "--n", "3", "--t", "1"), 74, None),
         "success": (("tan", "--n", "3", "--t", "1"), 0, b"beeler: -1\naddition: -1\ngaussian: -1\nagree: yes\n"),
+        "help": (("--help",), 0, HELP),
+        "help-stdout-full": (("--help",), 74, None),
     }
 
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("case", list(CASES))
     @pytest.mark.parametrize("how", ["closed", "failing"])
-    def test_exit_code_and_stdout(self, request, how, case, unbuffered):
+    def test_exit_code_and_stdout(self, monkeypatch, how, case, unbuffered):
         argv, want_code, want_out = self.CASES[case]
         needs_full = how == "failing" or want_out is None
         if needs_full and not os.path.exists("/dev/full"):
             pytest.skip("needs /dev/full")
-        if how == "failing" and case == "argparse-error" and sys.version_info < (3, 11):
-            # argparse's own usage write lets the OSError through before 3.11
-            request.applymarker(pytest.mark.xfail(strict=True, reason="argparse before 3.11"))
+        # argparse sizes help to COLUMNS; the child and this process read the same
+        monkeypatch.setenv("COLUMNS", "80")
+        if want_out is self.HELP:
+            want_out = cli.build_parser().format_help().encode()
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONUNBUFFERED=unbuffered)
         with open("/dev/full" if needs_full else os.devnull, "wb") as full:
             result = subprocess.run(

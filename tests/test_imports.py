@@ -117,6 +117,6 @@ def test_output_formats_and_aliases_are_gone():
 
 
 def test_split_helpers_are_gone():
-    # cli._fail writes every error line; symbolic._dz_member reduces, checks and divides
+    # cli._fail writes every error line; symbolic._dz_step steps, checks and divides
     assert not hasattr(tanpoly.cli, "_usage_error")
     assert not hasattr(tanpoly.symbolic, "_extract_scaled")

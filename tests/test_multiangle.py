@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tanpoly import multiangle
 from tanpoly.exact import GaussianInt, Rational
 from tanpoly.multiangle import (
     DEFAULT_GRID,
@@ -101,6 +102,19 @@ class TestAdditionRoute:
         # at t = 1 the n = 2 step is a pole; n = 4 must come back to 0
         assert tan_addition(2, Rational(1)) == POLE
         assert tan_addition(4, Rational(1)) == TanValue(Rational(0))
+
+    def test_one_reduction_per_call(self, monkeypatch):
+        # the pair is stepped unreduced and made a Rational once, after the last step
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return Rational(*args)
+
+        want = tan_gaussian(40, Rational(3, 7))
+        monkeypatch.setattr(multiangle, "Rational", counted)
+        assert tan_addition(40, Rational(3, 7)) == want
+        assert len(made) == 1
 
 
 class TestGaussianRoute:

@@ -26,20 +26,23 @@ from tanpoly.symbolic import (
     ReducedPair,
     YPoly,
     YZPoly,
-    _dz_member,
+    _dz_step,
     apply_dz,
     diff,
     dz_iter,
+    dz_seq,
     hoffman_p,
     hoffman_p_seq,
     hoffman_q,
     hoffman_q_seq,
     r_poly_closed,
     r_poly_dz,
+    r_poly_dz_seq,
     reduce_z,
     reduced_diff,
     t_poly_closed,
     t_poly_dz,
+    t_poly_dz_seq,
     tilde_rows,
 )
 from tanpoly.verify import verify_closed_forms, verify_hoffman, verify_operator_expansion
@@ -404,12 +407,26 @@ class TestRTFamilies:
             last = n
         assert last == 300
 
+    def test_reduced_iterates_are_the_scaled_members(self):
+        # The iterates of dz_seq are the M/N expansions; reduced, the (n-1)-th
+        # is (n-1)! times member n on one part and zero on the other: the z
+        # part for odd R_n and even T_n, the z-free part otherwise.
+        zero = YPoly.zero()
+        routes = zip(range(1, 61), dz_seq(YZPoly.z()), dz_seq(YZPoly.y()), r_poly_dz_seq(), t_poly_dz_seq())
+        for n, p, q, r, t in routes:
+            scale = math.factorial(n - 1)
+            assert reduce_z(p) == ((zero, scale * r) if n % 2 else (scale * r, zero)), n
+            assert reduce_z(q) == ((scale * t, zero) if n % 2 else (zero, scale * t)), n
+
     def test_exact_division_guard(self):
-        with pytest.raises(InternalInconsistencyError):
-            _dz_member(3, YZPoly({(0, 0): 3}), 0)
-        # the part of the other parity must be zero
-        with pytest.raises(InternalInconsistencyError):
-            _dz_member(3, YZPoly({(0, 0): 2, (1, 1): 2}), 0)
+        # the row [1] (z, member 1 of R) steps to [2, 2], which 3 does not divide
+        assert _dz_step([1], 0, 1) == [2, 2]
+        with pytest.raises(InternalInconsistencyError, match="coefficient 2 of y\\^1 not divisible by 3"):
+            _dz_step([1], 0, 3)
+        # T_2 = 1 + 2y^2 steps to 2 * T_3 = 6y + 14y^3 + 8y^5; 4 divides only the last
+        assert _dz_step([1, 2], 0, 2) == [3, 7, 4]
+        with pytest.raises(InternalInconsistencyError, match="coefficient 6 of y\\^1 not divisible by 4"):
+            _dz_step([1, 2], 0, 4)
 
 
 class TestVerifySuites:

@@ -9,8 +9,7 @@ import pytest
 
 from tanpoly import cli, symbolic, verify
 from tanpoly.exact import Rational
-from tanpoly.multiangle import TanValue
-from tanpoly.symbolic import YPoly, YZPoly, dz_iter
+from tanpoly.multiangle import DEFAULT_GRID, TanValue
 from tanpoly.verify import (
     RTILDE_GOLDEN,
     SUITE_NAMES,
@@ -173,11 +172,25 @@ def spoil_rtilde(n, k):
     return patch
 
 
+def spoil_item(at, n, value):
+    """A patch for a sequence function of one argument: the sequence for `at`
+    yields value as item n, and the items after it are stepped from the right one."""
+
+    def patch(real):
+        def patched(arg):
+            for i, item in enumerate(real(arg)):
+                yield value if (arg, i) == (at, n) else item
+
+        return patched
+
+    return patch
+
+
 # suite: (module and name of the function spoiled, the patch, checked at
 # max_n = 7, the one failure record expected, keys in order). The hoffman
 # entry spoils the row step from P_2 = 2y + 2y^3 to P_3 and the theorem2
-# entry the extraction of R_4; both live in symbolic, behind hoffman_p and
-# r_poly_dz.
+# entry the operator step from R_3 = 1 + 5y^2 + 4y^4 to R_4; both live in
+# symbolic, behind hoffman_p and r_poly_dz.
 FAULTS = {
     "rt-recurrences": (
         verify, "r_coef", inject((8, 2), plus_one), 60,
@@ -206,7 +219,7 @@ FAULTS = {
         },
     ),
     "theorem2": (
-        symbolic, "_dz_member", inject((4, dz_iter(3, YZPoly.z()), 1), lambda p: p + YPoly.y()), 28,
+        symbolic, "_dz_step", inject(([1, 5, 4], 0, 3), lambda row: [row[0] + 1, *row[1:]]), 28,
         {
             "family": "R",
             "n": "4",
@@ -219,7 +232,7 @@ FAULTS = {
         {"family": "Rtilde", "n": "3", "got": "[1, 5, 5]", "want": "[1, 5, 4]"},
     ),
     "beeler": (
-        verify, "tan_addition", inject((2, Rational(1, 2)), lambda value: TanValue(Rational(0))), 104,
+        verify, "tan_addition_seq", spoil_item(Rational(1, 2), 2, TanValue(Rational(0))), 104,
         {"n": "2", "t": "1/2", "beeler": "4/3", "addition": "0", "gaussian": "4/3"},
     ),
 }
@@ -271,12 +284,12 @@ class TestOneRoutePerFamily:
         record = {"family": "Rtilde", "n": "4", "closed": "[1, 9, 16, 8]", "recurrence": "[1, 9, 17, 8]"}
         assert json_failures("theorem2", capsys) == [list(record.items())]
 
-    def test_theorem2_and_r_poly_dz_share_apply_dz(self, monkeypatch, capsys):
-        # the step to the third iterate on z, which R_4 is extracted from
-        patch = inject((dz_iter(2, YZPoly.z()),), lambda p: p + 6 * YZPoly.y())
-        monkeypatch.setattr(symbolic, "apply_dz", patch(symbolic.apply_dz))
+    def test_theorem2_and_r_poly_dz_share_the_dz_step(self, monkeypatch, capsys):
+        # the step from R_3 to R_4
+        module, name, patch, _, record = FAULTS["theorem2"]
+        monkeypatch.setattr(module, name, patch(getattr(module, name)))
         assert str(symbolic.r_poly_dz(4)) == "5y + 16y^3 + 20y^5 + 8y^7"
-        assert json_failures("theorem2", capsys) == [list(FAULTS["theorem2"][-1].items())]
+        assert json_failures("theorem2", capsys) == [list(record.items())]
 
 
 class TestLinearWork:
@@ -287,7 +300,8 @@ class TestLinearWork:
     def calls(self, monkeypatch):
         # symbolic steps the sequences; verify steps the plain diff route of hoffman.
         calls = Counter()
-        for module, name in ((symbolic, "diff"), (symbolic, "apply_dz"), (symbolic, "_hoffman_step"), (verify, "diff")):
+        spied = [(symbolic, name) for name in ("diff", "apply_dz", "reduce_z", "_hoffman_step", "_dz_step")]
+        for module, name in (*spied, (verify, "diff")):
             real = getattr(module, name)
 
             def counted(*args, name=name, real=real):
@@ -310,8 +324,9 @@ class TestLinearWork:
 
     @pytest.mark.parametrize("m", [7, 30])
     def test_theorem2(self, calls, m):
+        # Each _dz_step takes one _hoffman_step; no iterate is reduced.
         assert verify.verify_closed_forms(m).passed
-        assert calls == {"apply_dz": 2 * (m - 1), "diff": 2 * (m - 1)}
+        assert calls == {"_dz_step": 2 * (m - 1), "_hoffman_step": 2 * (m - 1)}
 
     @pytest.fixture
     def tilde_draws(self, monkeypatch):
@@ -339,6 +354,22 @@ class TestLinearWork:
         assert tilde_draws == {"sweeps": 1, "rows": min(m, 5)}
 
     @pytest.mark.parametrize("m", [7, 30])
+    def test_beeler_addition_sequences(self, monkeypatch, m):
+        # one sequence per grid point, one item drawn per n
+        drawn = Counter()
+        real = verify.tan_addition_seq
+
+        def counted(t):
+            drawn["sweeps"] += 1
+            for value in real(t):
+                drawn["items"] += 1
+                yield value
+
+        monkeypatch.setattr(verify, "tan_addition_seq", counted)
+        assert verify.verify_triple_agreement(m).passed
+        assert drawn == {"sweeps": len(DEFAULT_GRID), "items": len(DEFAULT_GRID) * (m + 1)}
+
+    @pytest.mark.parametrize("m", [7, 30])
     def test_corollary(self, monkeypatch, m):
         drawn = Counter()
         for name in ("m_row_seq", "n_row_seq"):
@@ -353,15 +384,15 @@ class TestLinearWork:
         assert drawn == {"m_row_seq": m + 1, "n_row_seq": m + 1}
 
 
-class TestOneReductionPerCall:
-    """r_poly_dz(n)/t_poly_dz(n) step the operator n-1 times and reduce and
-    extract only the last iterate."""
+class TestPerNCall:
+    """r_poly_dz(n)/t_poly_dz(n) take n-1 row steps, reduce nothing and make
+    only the last row a YPoly."""
 
     @pytest.mark.parametrize("fn", [symbolic.r_poly_dz, symbolic.t_poly_dz], ids=["R", "T"])
     @pytest.mark.parametrize("m", [7, 30])
     def test_per_n_call(self, monkeypatch, fn, m):
         calls = Counter()
-        for name in ("reduce_z", "_dz_member", "apply_dz"):
+        for name in ("reduce_z", "apply_dz", "_dz_step", "_hoffman_step", "_stride_poly"):
 
             def counted(*args, name=name, real=getattr(symbolic, name)):
                 calls[name] += 1
@@ -369,4 +400,4 @@ class TestOneReductionPerCall:
 
             monkeypatch.setattr(symbolic, name, counted)
         fn(m)
-        assert calls == {"reduce_z": 1, "_dz_member": 1, "apply_dz": m - 1}
+        assert calls == {"_dz_step": m - 1, "_hoffman_step": m - 1, "_stride_poly": 1}
