@@ -22,7 +22,7 @@ import json
 import operator
 import os
 import sys
-from itertools import count, islice
+from itertools import chain, count, islice
 
 from . import multiangle, symbolic, triangles, verify
 from .exact import Rational
@@ -90,17 +90,26 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
     return 0
 
 
+def _joined(sep: str, items):
+    """The pieces of sep.join(items), for writing one at a time."""
+    for i, item in enumerate(items):
+        yield sep + item if i else item
+
+
 def _cmd_poly(args: argparse.Namespace) -> int:
     poly_fn, min_n = _FAMILIES[args.family]
     if args.n < min_n:
         return _fail(2, f"--n must be at least {min_n} for family {args.family}")
     poly = poly_fn(args.n)
+    # Written term by term, so the whole text is never held at once.
     if args.format == "table":
-        print(poly)
+        pieces = poly._pieces()
     elif args.format == "csv":
-        print("\n".join(f"{a},{c}" for a, c in poly.terms()))
-    else:
-        print(json.dumps([[a, str(c)] for a, c in poly.terms()]))
+        pieces = _joined("\n", (f"{a},{c}" for a, c in poly.terms()))
+    else:  # json.dumps([[a, str(c)], ...])
+        pieces = chain("[", _joined(", ", (f'[{a}, "{c}"]' for a, c in poly.terms())), "]")
+    sys.stdout.writelines(pieces)
+    print()
     return 0
 
 

@@ -7,8 +7,9 @@ The primary route is the alternating binomial ratio
 For t = a/b in lowest terms both sums are taken scaled by b^n, so they
 are plain integers: one walk along the Pascal row, with the exact step
 C(n,j+1) a^(j+1) b^(n-j-1) = C(n,j) a^j b^(n-j) * (n-j) a / ((j+1) b),
-feeds the odd terms to the numerator and the even terms to the
-denominator. The ratio is reduced once, by a single gcd, at the end; at
+adds term j to one of four sums by j mod 4; the numerator is the sum of
+j = 1 less that of j = 3, and the denominator that of j = 0 less that of
+j = 2. The ratio is reduced once, by a single gcd, at the end; at
 n = 3000 and t = 5/7 this takes about 0.02 s on CPython 3.11.
 
 The two cross-checks are iterated tangent angle addition, carried as a
@@ -68,16 +69,13 @@ FLOAT_SKIP_THRESHOLD = 1e-6
 def _alternating_sums(n: int, t: Fraction | int) -> tuple[int, int]:
     """Numerator and denominator sums of the binomial ratio, times b^n for t = a/b."""
     a, b = t.numerator, t.denominator
-    num = den = 0
+    sums = [0, 0, 0, 0]  # the terms of j = 0, 1, 2, 3 (mod 4)
     term = b**n  # C(n, j) * a^j * b^(n-j), starting at j = 0
     for j in range(n + 1):
-        signed = -term if j & 2 else term  # (-1)^(j // 2)
-        if j & 1:
-            num += signed
-        else:
-            den += signed
+        sums[j & 3] += term
         term = term * ((n - j) * a) // ((j + 1) * b)
-    return num, den
+    s0, s1, s2, s3 = sums
+    return s1 - s3, s0 - s2
 
 
 def tan_beeler(n: int, t: Fraction | int) -> TanValue:

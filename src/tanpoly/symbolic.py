@@ -15,7 +15,8 @@ Row n of the Rtilde and Ttilde triangles holds the coefficients of R_n and
 T_n at even or odd powers of y; tilde_rows yields both rows of each n.
 
 Each iterated route is one lazy sequence, which takes a step only when its
-next item is drawn: dz_seq (apply_dz), hoffman_p_seq/hoffman_q_seq
+next item is drawn: dz_seq (apply_dz, which maps each monomial of p to
+those of diff(z * p) directly), hoffman_p_seq/hoffman_q_seq
 (_hoffman_step on parity-stride rows), tilde_rows (the Fibonacci-type
 recurrence of R_n and T_n) and r_poly_dz_seq/t_poly_dz_seq (_dz_step on
 parity-stride rows). dz_iter, hoffman_p/q and r_poly_dz/t_poly_dz return
@@ -34,7 +35,9 @@ tests, which pin the reduction of the iterates of dz_seq to these rows.
 
 YZPoly is a sparse integer polynomial in the commuting variables y and z;
 YPoly is the same in y alone. Both share one ring implementation and differ
-only in the monomial key, the product, evaluation and rendering.
+only in the monomial key, the product, evaluation and rendering. str()
+joins the text of the terms that _pieces yields one at a time, and the
+poly command writes the same pieces without joining them.
 ReducedPair (f, g) is the canonical representative f(y) + z*g(y) of a
 YZPoly in the quotient ring Z[y, z]/(z^2 - 1 - y^2); reduced_diff is the
 derivation on such pairs. P_n and Q_n, and R_n and T_n on the operator
@@ -124,11 +127,12 @@ class _SparsePoly:
     def __bool__(self) -> bool:
         return bool(self._coef)
 
-    def __str__(self) -> str:
+    def _pieces(self) -> Iterator[str]:
+        """The text of str(self), one term at a time, so it can be written
+        without being built whole."""
         terms = self.terms()
         if not terms:
-            return "0"
-        pieces = []
+            yield "0"
         for i, (key, c) in enumerate(terms):
             sign = ("-" if c < 0 else "") if i == 0 else (" - " if c < 0 else " + ")
             body = self._monomial(key)
@@ -137,8 +141,10 @@ class _SparsePoly:
                 body = str(mag)
             elif mag != 1:
                 body = f"{mag}{body}"
-            pieces.append(sign + body)
-        return "".join(pieces)
+            yield sign + body
+
+    def __str__(self) -> str:
+        return "".join(self._pieces())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.terms())!r})"
@@ -262,8 +268,16 @@ def diff(p: YZPoly) -> YZPoly:
 
 
 def apply_dz(p: YZPoly) -> YZPoly:
-    """One step of the weighted operator: diff of z * p."""
-    return diff(YZPoly.z() * p)
+    """One step of the weighted operator, diff of z * p, as one monomial map:
+
+    c*y^a*z^b -> a*c*y^(a-1)*z^(b+3) + (b+1)*c*y^(a+1)*z^(b+1).
+    """
+    acc: dict[tuple[int, int], int] = {}
+    for (a, b), c in p._coef.items():
+        if a:
+            _add(acc, (a - 1, b + 3), a * c)
+        _add(acc, (a + 1, b + 1), (b + 1) * c)
+    return YZPoly(acc)
 
 
 def dz_seq(seed: YZPoly) -> Iterator[YZPoly]:

@@ -5,7 +5,9 @@ odd- and even-column halves of Pascal's triangle (A034867 and A034839).
 Two factorial-scaled families M and N, the coefficients of the iterated
 operator p -> d/dx(sec(x) * p) expanded over tan and sec monomials; they
 are computed from their two-term recurrences and, independently, from the
-closed forms n! * C(n+1, 2k+1) and n! * C(n+1, 2k). The recurrence rows
+closed forms n! * C(n+1, 2k+1) and n! * C(n+1, 2k). _mn_closed_row makes a
+whole closed row from one n!; m_closed/n_closed read one entry of it, and
+the corollary and dz-expansion suites draw one row per n. The recurrence rows
 are the lazy sequences m_row_seq and n_row_seq of tuples, which m_row/n_row
 read and the corollary suite and triangle command sweep. _item is the one
 per-n lookup into a sequence; symbolic reads its own through it too. The
@@ -95,16 +97,27 @@ def n_row(n: int) -> tuple[int, ...]:
     return _item(n_row_seq(), n)
 
 
-def m_closed(n: int, k: int) -> int:
-    """M(n, k) in closed form: n! * C(n+1, 2k+1)."""
+def _mn_closed_row(n: int, s: int) -> tuple[int, ...]:
+    """Row n of M (s = 0) or N (s = 1) in closed form, n! * C(n+1, 2k+1-s) for
+    k = 0 .. floor((n+s)/2), with n! computed once for the row."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return math.factorial(n) * binom(n + 1, 2 * k + 1)
+    scale = math.factorial(n)
+    return tuple(scale * math.comb(n + 1, 2 * k + 1 - s) for k in range((n + s) // 2 + 1))
+
+
+def _row_entry(row: tuple[int, ...], k: int) -> int:
+    """row[k], or 0 outside the row."""
+    return row[k] if 0 <= k < len(row) else 0
+
+
+def m_closed(n: int, k: int) -> int:
+    """M(n, k) in closed form: n! * C(n+1, 2k+1), entry k of _mn_closed_row(n, 0).
+    Each call makes the whole row."""
+    return _row_entry(_mn_closed_row(n, 0), k)
 
 
 def n_closed(n: int, k: int) -> int:
-    """N(n, k) in closed form: n! * C(n+1, 2k)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return math.factorial(n) * binom(n + 1, 2 * k)
-
+    """N(n, k) in closed form: n! * C(n+1, 2k), entry k of _mn_closed_row(n, 1).
+    Each call makes the whole row."""
+    return _row_entry(_mn_closed_row(n, 1), k)

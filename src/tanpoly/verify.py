@@ -5,11 +5,13 @@ and returns a VerifyReport: how many comparisons it made and which ones
 failed. The iterated routes are the lazy sequences symbolic and triangles
 own; a suite zips each sequence once against range(...), range first, so
 no item past max_n is drawn, and steps only the plain diff route of
-hoffman itself. Reports are plain data; output formats, rendering and
-exit-code policy live in the cli module. Failure records are built in
-_Tally.check and keep every value as an exact decimal string so reports
-can be serialized without any floating point; a row is written as a list,
-[1, 5, 4].
+hoffman itself. Each reference value is read once: rt-recurrences carries
+the binomial row n + 1 of step n to step n + 1, and corollary and
+dz-expansion make one closed M and N row per n. Reports are plain data;
+output formats, rendering and exit-code policy live in the cli module.
+Failure records are built in _Tally.check and keep every value as an
+exact decimal string so reports can be serialized without any floating
+point; a row is written as a list, [1, 5, 4].
 
 The embedded rows are the first five rows of A056242 (k-part
 order-consecutive partition counts) and of A210753. They are test data,
@@ -25,7 +27,7 @@ from typing import Callable, Mapping, NamedTuple
 from .multiangle import DEFAULT_GRID, tan_addition_seq, tan_beeler, tan_gaussian
 from .symbolic import ReducedPair, YPoly, YZPoly, diff, dz_seq, hoffman_p_seq, hoffman_q_seq, reduce_z
 from .symbolic import r_poly_closed, r_poly_dz_seq, t_poly_closed, t_poly_dz_seq, tilde_rows
-from .triangles import m_closed, m_row_seq, n_closed, n_row_seq, r_coef, t_coef
+from .triangles import _mn_closed_row, m_row_seq, n_row_seq, r_coef, t_coef
 
 RTILDE_GOLDEN: tuple[tuple[int, ...], ...] = (
     (1,),
@@ -80,21 +82,32 @@ class _Tally:
         return VerifyReport(self.suite, self.checked, tuple(self.failures), self.notes)
 
 
+def _binomial_row(coef: Callable[[int, int], int], m: int) -> list[int]:
+    """coef(m, k) for k = -1 .. floor((m+1)/2) + 1, entry k at index k + 1: every
+    k that the rt-recurrences step reads from row m, as row n or row n + 1."""
+    return [coef(m, k) for k in range(-1, (m + 1) // 2 + 2)]
+
+
 def verify_rt_recurrences(max_n: int) -> VerifyReport:
     """Check n*R(n+1,k) and n*T(n+1,k) against their two-term recurrences.
 
     Runs for 1 <= n <= max_n with k covering the full row plus one index on
-    each side, so the out-of-range zero convention is exercised too.
+    each side, so the out-of-range zero convention is exercised too. Each
+    row is read once through r_coef/t_coef: row n+1 of step n is row n of
+    step n+1.
     """
     tally = _Tally("rt-recurrences", max_n, 1)
+    r_row, t_row = _binomial_row(r_coef, 1), _binomial_row(t_coef, 1)
     for n in range(1, max_n + 1):
+        r_next, t_next = _binomial_row(r_coef, n + 1), _binomial_row(t_coef, n + 1)
         for k in range((n + 1) // 2 + 2):
-            lhs = n * r_coef(n + 1, k)
-            rhs = (n + 2 * k + 1) * r_coef(n, k) + (n - 2 * k + 1) * r_coef(n, k - 1)
+            lhs = n * r_next[k + 1]
+            rhs = (n + 2 * k + 1) * r_row[k + 1] + (n - 2 * k + 1) * r_row[k]
             tally.check(lhs == rhs, family="R", n=n, k=k, lhs=lhs, rhs=rhs)
-            lhs = n * t_coef(n + 1, k)
-            rhs = (n + 2 * k) * t_coef(n, k) + (n - 2 * k + 2) * t_coef(n, k - 1)
+            lhs = n * t_next[k + 1]
+            rhs = (n + 2 * k) * t_row[k + 1] + (n - 2 * k + 2) * t_row[k]
             tally.check(lhs == rhs, family="T", n=n, k=k, lhs=lhs, rhs=rhs)
+        r_row, t_row = r_next, t_next
     return tally.report()
 
 
@@ -102,7 +115,9 @@ def verify_rec_vs_closed(max_n: int) -> VerifyReport:
     """Check the recurrence values against the factorial closed forms.
 
     M is compared for k <= floor(n/2) and N for k <= floor((n+1)/2); the
-    checked count is the total number of row entries compared.
+    checked count is the total number of row entries compared. Each n draws
+    one recurrence row and one closed row (_mn_closed_row) per family and
+    indexes both over that range.
     """
     note = (
         "N is checked on its full defining range k <= floor((n+1)/2), "
@@ -111,12 +126,11 @@ def verify_rec_vs_closed(max_n: int) -> VerifyReport:
     )
     tally = _Tally("corollary", max_n, 1, notes=(note,))
     for n, m_row, n_row in zip(range(max_n + 1), m_row_seq(), n_row_seq()):
-        for k in range(n // 2 + 1):
-            rec, closed = m_row[k], m_closed(n, k)
-            tally.check(rec == closed, family="M", n=n, k=k, rec=rec, closed=closed)
-        for k in range((n + 1) // 2 + 1):
-            rec, closed = n_row[k], n_closed(n, k)
-            tally.check(rec == closed, family="N", n=n, k=k, rec=rec, closed=closed)
+        for s, family, rec_row in ((0, "M", m_row), (1, "N", n_row)):
+            closed_row = _mn_closed_row(n, s)
+            for k in range((n + s) // 2 + 1):
+                rec, closed = rec_row[k], closed_row[k]
+                tally.check(rec == closed, family=family, n=n, k=k, rec=rec, closed=closed)
     return tally.report()
 
 
@@ -126,14 +140,15 @@ def verify_operator_expansion(max_n: int) -> VerifyReport:
     The n-th iterate on z must consist of exactly the monomials
     y^(n-2k) z^(n+2k+1) with coefficient M(n, k), and the iterate on y of
     y^(n-2k+1) z^(n+2k) with coefficient N(n, k); nothing else may appear.
+    The coefficients are one closed row (_mn_closed_row) per family and n.
     """
     tally = _Tally("dz-expansion", max_n, 0)
     for n, p, q in zip(range(max_n + 1), dz_seq(YZPoly.z()), dz_seq(YZPoly.y())):
         got = p.terms()
-        want = sorted(((n - 2 * k, n + 2 * k + 1), m_closed(n, k)) for k in range(n // 2 + 1))
+        want = sorted(((n - 2 * k, n + 2 * k + 1), c) for k, c in enumerate(_mn_closed_row(n, 0)))
         tally.check(got == want, family="M", n=n, got=got, want=want)
         got = q.terms()
-        want = sorted(((n - 2 * k + 1, n + 2 * k), n_closed(n, k)) for k in range((n + 1) // 2 + 1))
+        want = sorted(((n - 2 * k + 1, n + 2 * k), c) for k, c in enumerate(_mn_closed_row(n, 1)))
         tally.check(got == want, family="N", n=n, got=got, want=want)
     return tally.report()
 

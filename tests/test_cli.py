@@ -445,6 +445,8 @@ class TestLargeOutputs:
             pytest.param(
                 ("triangle", "--name", "Rtilde", "--rows", "300", "--format", "json"), 24, id="Rtilde-300-json"
             ),
+            # written term by term; the whole JSON string built first peaks at 26 MB
+            pytest.param(("poly", "--family", "P", "--n", "1500", "--format", "json"), 22, id="P-1500-json"),
         ],
     )
     def test_r_family_peak_memory(self, argv, bound_mb):
@@ -481,14 +483,25 @@ def run_child(argv, **kwargs) -> subprocess.Popen:
 class TestWriteFailures:
     """A write that fails ends the run with its own exit code, never a traceback."""
 
-    def test_broken_pipe_exits_141_silently(self):
-        # megabytes of output: the writer is still writing when the reader goes
-        child = run_child(("triangle", "--name", "Rtilde", "--rows", "1000"), stdout=subprocess.PIPE)
+    @staticmethod
+    def reader_goes_after_one_byte(argv):
+        """Start argv with its stdout on a pipe, read one byte and close the pipe;
+        return the exit code and stderr."""
+        child = run_child(argv, stdout=subprocess.PIPE)
         assert len(child.stdout.read(1)) == 1
         child.stdout.close()
         err = child.stderr.read()
-        assert child.wait(timeout=120) == 141
-        assert err == b""
+        return child.wait(timeout=120), err
+
+    def test_broken_pipe_exits_141_silently(self):
+        # megabytes of output: the writer is still writing when the reader goes
+        argv = ("triangle", "--name", "Rtilde", "--rows", "1000")
+        assert self.reader_goes_after_one_byte(argv) == (141, b"")
+
+    def test_broken_pipe_mid_poly_exits_141_silently(self):
+        # P_1500 is written term by term, about 3 MB after the first byte
+        argv = ("poly", "--family", "P", "--n", "1500", "--format", "json")
+        assert self.reader_goes_after_one_byte(argv) == (141, b"")
 
     def test_help_to_a_pipe_without_reader_exits_141_silently(self):
         # the read end is closed before the child starts, so its first write fails
@@ -510,6 +523,7 @@ class TestWriteFailures:
             ("triangle", "--name", "Rtilde", "--rows", "300", "--format", "json"),
             ("--help",),
             ("verify", "--help"),
+            ("poly", "--family", "P", "--n", "1500", "--format", "json"),
         ],
     )
     def test_full_device_exits_74(self, argv):

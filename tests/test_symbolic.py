@@ -214,6 +214,10 @@ class TestWeightedOperator:
         assert apply_dz(YZPoly.y()) == YZPoly({(2, 1): 1, (0, 3): 1})
         assert apply_dz(YZPoly({(1, 2): 2})) == YZPoly({(2, 3): 6, (0, 5): 2})
 
+    @given(yz_polys)
+    def test_monomial_map_is_diff_of_z_times_p(self, p):
+        assert apply_dz(p) == diff(YZPoly.z() * p)
+
     def test_iteration(self):
         assert dz_iter(0, YZPoly.z()) == YZPoly.z()
         assert dz_iter(1, YZPoly.y()) == YZPoly({(2, 1): 1, (0, 3): 1})

@@ -15,6 +15,7 @@ import pytest
 from tanpoly import symbolic
 from tanpoly.symbolic import tilde_rows
 from tanpoly.triangles import (
+    _mn_closed_row,
     binom,
     m_closed,
     m_row,
@@ -136,8 +137,26 @@ class TestMN:
     def test_deep_rows_from_cold_cache(self):
         # built by one sweep; one stack frame per row would pass the recursion limit
         n = 600
-        assert m_row(n) == tuple(m_closed(n, k) for k in range(n // 2 + 1))
-        assert n_row(n) == tuple(n_closed(n, k) for k in range((n + 1) // 2 + 1))
+        assert m_row(n) == _mn_closed_row(n, 0)
+        assert n_row(n) == _mn_closed_row(n, 1)
+
+    def test_closed_rows(self):
+        # one n! per row; the reference takes its own n! for every entry
+        for n in range(201):
+            for s in (0, 1):
+                row = _mn_closed_row(n, s)
+                assert type(row) is tuple and len(row) == (n + s) // 2 + 1
+                assert row == tuple(math.factorial(n) * math.comb(n + 1, 2 * k + 1 - s) for k in range(len(row)))
+
+    def test_closed_entries_read_the_row(self):
+        for n in range(13):
+            m, nn = _mn_closed_row(n, 0), _mn_closed_row(n, 1)
+            assert [m_closed(n, k) for k in range(-2, len(m) + 2)] == [0, 0, *m, 0, 0]
+            assert [n_closed(n, k) for k in range(-2, len(nn) + 2)] == [0, 0, *nn, 0, 0]
+        with pytest.raises(ValueError):
+            m_closed(-1, 0)
+        with pytest.raises(ValueError):
+            n_closed(-1, 0)
 
     def test_even_row_edge_is_factorial(self):
         for m in range(13):

@@ -187,7 +187,8 @@ def spoil_item(at, n, value):
 
 
 # suite: (module and name of the function spoiled, the patch, checked at
-# max_n = 7, the one failure record expected, keys in order). The hoffman
+# max_n = 7, the one failure record expected, keys in order). The
+# dz-expansion entry spoils M(3, 1) in the closed M row of n = 3. The hoffman
 # entry spoils the row step from P_2 = 2y + 2y^3 to P_3 and the theorem2
 # entry the operator step from R_3 = 1 + 5y^2 + 4y^4 to R_4; both live in
 # symbolic, behind hoffman_p and r_poly_dz.
@@ -201,7 +202,7 @@ FAULTS = {
         {"family": "M", "n": "3", "k": "1", "rec": "25", "closed": "24"},
     ),
     "dz-expansion": (
-        verify, "m_closed", inject((3, 1), plus_one), 16,
+        verify, "_mn_closed_row", inject((3, 0), lambda row: bump(row, 1)), 16,
         {
             "family": "M",
             "n": "3",
@@ -313,9 +314,9 @@ class TestLinearWork:
 
     @pytest.mark.parametrize("m", [7, 30])
     def test_dz_expansion(self, calls, m):
-        # Each apply_dz takes one diff.
+        # apply_dz maps each monomial itself; it takes no diff.
         assert verify.verify_operator_expansion(m).passed
-        assert calls == {"apply_dz": 2 * m, "diff": 2 * m}
+        assert calls == {"apply_dz": 2 * m}
 
     @pytest.mark.parametrize("m", [7, 30])
     def test_hoffman(self, calls, m):
@@ -368,6 +369,39 @@ class TestLinearWork:
         monkeypatch.setattr(verify, "tan_addition_seq", counted)
         assert verify.verify_triple_agreement(m).passed
         assert drawn == {"sweeps": len(DEFAULT_GRID), "items": len(DEFAULT_GRID) * (m + 1)}
+
+    @pytest.fixture
+    def closed_rows(self, monkeypatch):
+        # closed M/N rows made, by family
+        made = Counter()
+        real = verify._mn_closed_row
+
+        def counted(n, s):
+            made["MN"[s]] += 1
+            return real(n, s)
+
+        monkeypatch.setattr(verify, "_mn_closed_row", counted)
+        return made
+
+    @pytest.mark.parametrize("suite", ["corollary", "dz-expansion"])
+    @pytest.mark.parametrize("m", [7, 30])
+    def test_one_closed_row_per_n(self, closed_rows, suite, m):
+        assert run_suite(suite, m).passed
+        assert closed_rows == {"M": m + 1, "N": m + 1}
+
+    @pytest.mark.parametrize("m", [1, 7, 30])
+    def test_rt_recurrences_reads_each_binomial_once(self, monkeypatch, m):
+        reads = Counter()
+        for name in ("r_coef", "t_coef"):
+
+            def counted(n, k, name=name, real=getattr(verify, name)):
+                reads[name, n, k] += 1
+                return real(n, k)
+
+            monkeypatch.setattr(verify, name, counted)
+        assert verify.verify_rt_recurrences(m).passed
+        assert set(reads.values()) == {1}
+        assert {n for _, n, _ in reads} == set(range(1, m + 2))
 
     @pytest.mark.parametrize("m", [7, 30])
     def test_corollary(self, monkeypatch, m):
