@@ -2,7 +2,9 @@
 
 Subcommands: triangle (emit rows of one of the six triangles), poly (emit
 one polynomial from the R/T/P/Q families), tan (evaluate tan(n*x) exactly
-from t = tan(x)), verify (run the identity suites).
+from t = tan(x)), verify (run the identity suites). Each is a generator
+_cmd_* that yields its text a row, term or suite at a time, as it is made,
+and returns the exit code; _run alone writes each piece as it is drawn.
 
 Exit codes: 0 success or all checks pass, 1 verification disagreement, 2
 usage error, 74 output not written, 141 broken pipe (silent, as with
@@ -22,7 +24,8 @@ import json
 import operator
 import os
 import sys
-from itertools import chain, count, islice
+from itertools import count, islice
+from typing import Generator
 
 from . import multiangle, symbolic, triangles, verify
 from .exact import Rational
@@ -64,56 +67,51 @@ def _flush(stream, text: str = "") -> None:
                 os.dup2(devnull.fileno(), stream.fileno())
 
 
-def _cmd_triangle(args: argparse.Namespace) -> int:
+def _cmd_triangle(args: argparse.Namespace) -> Generator[str, None, int]:
     rows_fn, first, cap = _TRIANGLES[args.name]
     if args.rows < 1:
         return _fail(2, "--rows must be at least 1")
     if cap is not None and args.rows > cap:
         return _fail(2, f"--rows is capped at {cap} for {args.name}")
-    # Rows are drawn and written one at a time, so memory holds one row.
     rows = islice(rows_fn(), args.rows)
     if args.format == "json":
-        sys.stdout.write(f'{{"name": {json.dumps(args.name)}, "first_row": {first}, "rows": [')
+        yield f'{{"name": {json.dumps(args.name)}, "first_row": {first}, "rows": ['
         for i, row in enumerate(rows):
-            sys.stdout.write((", " if i else "") + json.dumps([str(v) for v in row]))
-        print("]}")
+            yield (", " if i else "") + json.dumps([str(v) for v in row])
+        yield "]}\n"
     elif args.format == "bfile":
         index = count(1)  # zip(row, index): zip(index, row) skips one at each row end
         for row in rows:
-            sys.stdout.write("".join(f"{i} {v}\n" for v, i in zip(row, index)))
+            yield "".join(f"{i} {v}\n" for v, i in zip(row, index))
         if next(index) == 1:  # R --rows 1 has no values and prints one empty line
-            print()
+            yield "\n"
     else:
         sep = " " if args.format == "table" else ","
         for row in rows:
-            print(sep.join(map(str, row)))
+            yield sep.join(map(str, row)) + "\n"
     return 0
 
 
-def _joined(sep: str, items):
-    """The pieces of sep.join(items), for writing one at a time."""
-    for i, item in enumerate(items):
-        yield sep + item if i else item
-
-
-def _cmd_poly(args: argparse.Namespace) -> int:
+def _cmd_poly(args: argparse.Namespace) -> Generator[str, None, int]:
     poly_fn, min_n = _FAMILIES[args.family]
     if args.n < min_n:
         return _fail(2, f"--n must be at least {min_n} for family {args.family}")
     poly = poly_fn(args.n)
-    # Written term by term, so the whole text is never held at once.
     if args.format == "table":
-        pieces = poly._pieces()
+        yield from poly._pieces()
     elif args.format == "csv":
-        pieces = _joined("\n", (f"{a},{c}" for a, c in poly.terms()))
+        for i, (a, c) in enumerate(poly.terms()):
+            yield ("\n" if i else "") + f"{a},{c}"
     else:  # json.dumps([[a, str(c)], ...])
-        pieces = chain("[", _joined(", ", (f'[{a}, "{c}"]' for a, c in poly.terms())), "]")
-    sys.stdout.writelines(pieces)
-    print()
+        yield "["
+        for i, (a, c) in enumerate(poly.terms()):
+            yield (", " if i else "") + f'[{a}, "{c}"]'
+        yield "]"
+    yield "\n"
     return 0
 
 
-def _cmd_tan(args: argparse.Namespace) -> int:
+def _cmd_tan(args: argparse.Namespace) -> Generator[str, None, int]:
     if args.n < 0:
         return _fail(2, "--n must be nonnegative")
     try:
@@ -121,36 +119,35 @@ def _cmd_tan(args: argparse.Namespace) -> int:
     except (ValueError, ZeroDivisionError):
         return _fail(2, f"--t must be an exact rational like 3/7, got {args.t!r}")
     if args.method != "all":
-        print(multiangle.METHODS[args.method](args.n, t))
+        yield f"{multiangle.METHODS[args.method](args.n, t)}\n"
         return 0
     values = {name: fn(args.n, t) for name, fn in multiangle.METHODS.items()}
     for name, value in values.items():
-        print(f"{name}: {value}")
+        yield f"{name}: {value}\n"
     agree = len(set(values.values())) == 1
-    print(f"agree: {'yes' if agree else 'no'}")
+    yield f"agree: {'yes' if agree else 'no'}\n"
     return 0 if agree else 1
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Generator[str, None, int]:
     if args.max_n < 1:
         return _fail(2, "--max-n must be at least 1")
-    names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
-    reports = [verify.run_suite(name, args.max_n) for name in names]
+    reports = []
+    for name in verify.SUITE_NAMES if args.suite == "all" else (args.suite,):
+        report = verify.run_suite(name, args.max_n)
+        reports.append(report)
+        if not args.json:
+            counts = "" if report.passed else f", failures {len(report.failures)}"
+            yield f"{report.suite}: {'pass' if report.passed else 'FAIL'} (checked {report.checked}{counts})\n"
+            for record in report.failures:
+                yield "  " + " ".join(f"{key}={value}" for key, value in record.items()) + "\n"
     all_pass = all(report.passed for report in reports)
     if args.json:
         docs = [
             {"suite": r.suite, "checked": r.checked, "pass": r.passed, "failures": r.failures, "notes": r.notes}
             for r in reports
         ]
-        print(json.dumps({"pass": all_pass, "reports": docs}, indent=2))
-    else:
-        for report in reports:
-            if report.passed:
-                print(f"{report.suite}: pass (checked {report.checked})")
-            else:
-                print(f"{report.suite}: FAIL (checked {report.checked}, failures {len(report.failures)})")
-            for record in report.failures:
-                print("  " + " ".join(f"{key}={value}" for key, value in record.items()))
+        yield json.dumps({"pass": all_pass, "reports": docs}, indent=2) + "\n"
     return 0 if all_pass else 1
 
 
@@ -227,18 +224,21 @@ def _run(argv: list[str] | None) -> int:
         return exc.code
     if sys.stdout is None:  # fd 1 was closed when the interpreter started
         raise OSError("stdout is closed")
-    # Exact results can run past the interpreter's int -> str digit limit
-    # (4300 by default, none before 3.10.7, where it reads as 0); lift it
-    # for this call only, since every number is printed in full.
+    # Every number is printed in full, past the int -> str digit limit (4300
+    # by default, none before 3.10.7, where it reads as 0); lift it meanwhile.
     limit = getattr(sys, "get_int_max_str_digits", int)()
     if limit:
         sys.set_int_max_str_digits(0)
+    command = args.func(args)
     try:
-        code = args.func(args)
-        sys.stdout.flush()
+        while True:
+            sys.stdout.write(next(command))
+    except StopIteration as done:
+        code = done.value
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+    sys.stdout.flush()
     return code
 
 

@@ -275,6 +275,21 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out and "want=[1]" in out
 
+    def test_interrupted_run_keeps_finished_suites(self, capsys, monkeypatch):
+        # each suite's lines are written as it ends, before the next one runs
+        finished = verify.SUITE_NAMES[: verify.SUITE_NAMES.index("hoffman")]
+        assert finished == ("rt-recurrences", "corollary", "dz-expansion")
+        want = "".join(run_cli(capsys, "verify", "--suite", name, "--max-n", "12")[1] for name in finished)
+
+        def interrupted(max_n):
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setitem(verify.SUITES, "hoffman", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            cli.main(["verify", "--suite", "all", "--max-n", "12"])
+        assert capsys.readouterr().out == want
+        assert want.count("\n") == 3
+
     def test_readme_verify_example(self, capsys):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         command = "$ tanpoly verify --suite all --max-n 15\n"

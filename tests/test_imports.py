@@ -93,6 +93,37 @@ def test_no_imports_inside_functions():
     assert found == []
 
 
+def _is_sys_stdout(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Attribute) and node.attr == "stdout"
+        and isinstance(node.value, ast.Name) and node.value.id == "sys"
+    )
+
+
+def test_cli_commands_yield_and_run_writes():
+    # every _cmd_* is a generator that neither prints nor touches sys.stdout,
+    # and the one sys.stdout.write in cli is _run's
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    commands = [func for func in funcs if func.name.startswith("_cmd_")]
+    assert sorted(func.name for func in commands) == ["_cmd_poly", "_cmd_tan", "_cmd_triangle", "_cmd_verify"]
+    for func in commands:
+        nodes = list(ast.walk(func))
+        assert any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in nodes), func.name
+        assert not any(
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+            for node in nodes
+        ), func.name
+        assert not any(_is_sys_stdout(node) for node in nodes), func.name
+    writers = [
+        func.name
+        for func in funcs
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr == "write" and _is_sys_stdout(node.value)
+    ]
+    assert writers == ["_run"]
+
+
 def test_deleted_row_wrappers_are_gone():
     # rows come from the sequences tilde_rows, m_row_seq and n_row_seq
     deleted = ("tilde_r_row", "tilde_t_row", "tilde_r_row_seq", "tilde_t_row_seq", "m_rec", "n_rec")

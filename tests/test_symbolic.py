@@ -5,7 +5,8 @@ for the algebraic laws; exact evaluation at rational points of
 z^2 = 1 + y^2 for the reduction; a Fibonacci-type recurrence on plain
 integer lists for the R and T closed forms and the tilde rows; and sympy
 computing genuine n-th derivatives of tan and sec by calculus alone,
-compared numerically at a rational point with 50 digits of precision.
+compared numerically at a rational point with 50 digits of precision and,
+for P_n and Q_n, exactly, coefficient for coefficient.
 """
 
 from __future__ import annotations
@@ -138,6 +139,16 @@ def fibonacci_type(prev: list[int], cur: list[int], n: int, odd: int, n_max: int
 
 def z_free(f: YPoly) -> YZPoly:
     return ReducedPair(f, YPoly.zero()).embed()
+
+
+def reduced_coefficients(expr: sympy.Expr) -> tuple[dict[int, int], dict[int, int]]:
+    """expr, a polynomial in tan(x) and sec(x), as f + z*g with y = tan(x),
+    z = sec(x) and z^2 reduced to 1 + y^2: the coefficients of f and of g."""
+    y, z = sympy.symbols("y z")
+    yz = sympy.expand(expr.subs({sympy.tan(X): y, sympy.sec(X): z}))
+    rest = sympy.rem(yz, z**2 - 1 - y**2, z)
+    f, g = (sympy.Poly(rest.coeff(z, k), y).terms() for k in (0, 1))
+    return {a: int(c) for (a,), c in f if c}, {a: int(c) for (a,), c in g if c}
 
 
 def close_enough(a: sympy.Expr, b: sympy.Expr) -> bool:
@@ -331,6 +342,17 @@ class TestHoffmanFamilies:
         assert q.coefficient(0) == (0 if n % 2 else zigzag)
         assert p.terms()[-1] == (n + 1, math.factorial(n))
         assert q.terms()[-1] == (n, math.factorial(n))
+
+    def test_exactly_against_calculus(self):
+        # one sweep of sympy derivatives, expanded at each step so they stay
+        # sums of products of powers of tan(x) and sec(x)
+        tan, sec = sympy.tan(X), sympy.sec(X)
+        for n in range(41):
+            if n:
+                tan, sec = sympy.expand(sympy.diff(tan, X)), sympy.expand(sympy.diff(sec, X))
+            if n in (0, 5, 20, 40):
+                assert reduced_coefficients(tan) == (dict(hoffman_p(n).terms()), {}), n
+                assert reduced_coefficients(sec) == ({}, dict(hoffman_q(n).terms())), n
 
     @pytest.mark.parametrize("n", range(9))
     def test_against_calculus(self, n):
