@@ -5,109 +5,56 @@ connecting them.
 Everything is integer or rational arithmetic; no floating point enters any
 result (the only float in the package is the explicitly named sanity
 bridge tan_float_check).
+
+Importing the package loads none of its modules. Each name in __all__ and
+each submodule (tanpoly.symbolic, tanpoly.verify, ...) is loaded from its
+home module on first use (PEP 562) and then kept here, so a program pays
+only for the layers it touches: exact, then multiangle on it, triangles,
+then symbolic on it, and verify on all four.
 """
 
-from .exact import GaussianInt, Rational
-from .multiangle import (
-    DEFAULT_GRID,
-    POLE,
-    TanValue,
-    tan_addition,
-    tan_beeler,
-    tan_float_check,
-    tan_gaussian,
-)
-from .symbolic import (
-    InternalInconsistencyError,
-    ReducedPair,
-    YPoly,
-    YZPoly,
-    apply_dz,
-    diff,
-    dz_iter,
-    hoffman_p,
-    hoffman_q,
-    r_poly_closed,
-    r_poly_dz,
-    reduce_z,
-    reduced_diff,
-    t_poly_closed,
-    t_poly_dz,
-    tilde_rows,
-)
-from .triangles import (
-    binom,
-    m_closed,
-    m_row,
-    n_closed,
-    n_row,
-    r_coef,
-    r_row,
-    t_coef,
-    t_row,
-)
-from .verify import (
-    RTILDE_GOLDEN,
-    TTILDE_GOLDEN,
-    VerifyReport,
-    run_all,
-    run_suite,
-    verify_closed_forms,
-    verify_hoffman,
-    verify_operator_expansion,
-    verify_rec_vs_closed,
-    verify_rt_recurrences,
-    verify_tables,
-    verify_triple_agreement,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_GRID",
-    "GaussianInt",
-    "InternalInconsistencyError",
-    "POLE",
-    "RTILDE_GOLDEN",
-    "Rational",
-    "ReducedPair",
-    "TTILDE_GOLDEN",
-    "TanValue",
-    "VerifyReport",
-    "YPoly",
-    "YZPoly",
-    "apply_dz",
-    "binom",
-    "diff",
-    "dz_iter",
-    "hoffman_p",
-    "hoffman_q",
-    "m_closed",
-    "m_row",
-    "n_closed",
-    "n_row",
-    "r_coef",
-    "r_poly_closed",
-    "r_poly_dz",
-    "r_row",
-    "reduce_z",
-    "reduced_diff",
-    "run_all",
-    "run_suite",
-    "t_coef",
-    "t_poly_closed",
-    "t_poly_dz",
-    "t_row",
-    "tan_addition",
-    "tan_beeler",
-    "tan_float_check",
-    "tan_gaussian",
-    "tilde_rows",
-    "verify_closed_forms",
-    "verify_hoffman",
-    "verify_operator_expansion",
-    "verify_rec_vs_closed",
-    "verify_rt_recurrences",
-    "verify_tables",
-    "verify_triple_agreement",
-]
+# public name -> the module it comes from
+_HOME = {
+    name: module
+    for module, names in {
+        "exact": ("GaussianInt", "Rational"),
+        "multiangle": (
+            "DEFAULT_GRID", "POLE", "TanValue", "tan_addition", "tan_beeler", "tan_float_check", "tan_gaussian",
+        ),
+        "symbolic": (
+            "InternalInconsistencyError", "ReducedPair", "YPoly", "YZPoly", "apply_dz", "diff", "dz_iter",
+            "hoffman_p", "hoffman_q", "r_poly_closed", "r_poly_dz", "reduce_z", "reduced_diff",
+            "t_poly_closed", "t_poly_dz", "tilde_rows",
+        ),
+        "triangles": ("binom", "m_closed", "m_row", "n_closed", "n_row", "r_coef", "r_row", "t_coef", "t_row"),
+        "verify": (
+            "RTILDE_GOLDEN", "TTILDE_GOLDEN", "VerifyReport", "run_all", "run_suite", "verify_closed_forms",
+            "verify_hoffman", "verify_operator_expansion", "verify_rec_vs_closed", "verify_rt_recurrences",
+            "verify_tables", "verify_triple_agreement",
+        ),
+    }.items()
+    for name in names
+}
+
+_SUBMODULES = frozenset({"cli", *_HOME.values()})
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        value = import_module(f"{__name__}.{name}")
+    elif name in _HOME:
+        value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -6,6 +6,13 @@ from t = tan(x)), verify (run the identity suites). Each is a generator
 _cmd_* that yields its text a row, term or suite at a time, as it is made,
 and returns the exit code; _run alone writes each piece as it is drawn.
 
+A command imports its layers when it runs and looks their functions up
+through the module, so parsing and --help load none. tan loads exact and
+multiangle; poly and triangle load triangles and symbolic; verify loads
+all five; json is loaded only for triangle --format json and verify --json.
+The --method and --suite choices are literals, in the order of
+sorted(multiangle.METHODS) and verify.SUITE_NAMES.
+
 Exit codes: 0 success or all checks pass, 1 verification disagreement, 2
 usage error, 74 output not written, 141 broken pipe (silent, as with
 SIGPIPE). With stderr closed or failing the codes are the same and
@@ -20,32 +27,28 @@ row by row from the left.
 from __future__ import annotations
 
 import argparse
-import json
 import operator
 import os
 import sys
+from collections.abc import Generator
 from itertools import count, islice
-from typing import Generator
-
-from . import multiangle, symbolic, triangles, verify
-from .exact import Rational
 
 _TRIANGLES = {
-    # name: (rows from the first row on, first row index, row cap)
-    "R": (lambda: map(triangles.r_row, count(0)), 0, None),
-    "T": (lambda: map(triangles.t_row, count(0)), 0, None),
-    "M": (triangles.m_row_seq, 0, 60),
-    "N": (triangles.n_row_seq, 0, 60),
-    "Rtilde": (lambda: map(operator.itemgetter(0), symbolic.tilde_rows()), 1, None),
-    "Ttilde": (lambda: map(operator.itemgetter(1), symbolic.tilde_rows()), 1, None),
+    # name: (rows from the first row on, given the triangles and symbolic modules; first row index, row cap)
+    "R": (lambda tri, sym: map(tri.r_row, count(0)), 0, None),
+    "T": (lambda tri, sym: map(tri.t_row, count(0)), 0, None),
+    "M": (lambda tri, sym: tri.m_row_seq(), 0, 60),
+    "N": (lambda tri, sym: tri.n_row_seq(), 0, 60),
+    "Rtilde": (lambda tri, sym: map(operator.itemgetter(0), sym.tilde_rows()), 1, None),
+    "Ttilde": (lambda tri, sym: map(operator.itemgetter(1), sym.tilde_rows()), 1, None),
 }
 
 _FAMILIES = {
-    # family: (polynomial function, smallest valid index)
-    "R": (symbolic.r_poly_closed, 1),
-    "T": (symbolic.t_poly_closed, 1),
-    "P": (symbolic.hoffman_p, 0),
-    "Q": (symbolic.hoffman_q, 0),
+    # family: (name of the polynomial function in symbolic, smallest valid index)
+    "R": ("r_poly_closed", 1),
+    "T": ("t_poly_closed", 1),
+    "P": ("hoffman_p", 0),
+    "Q": ("hoffman_q", 0),
 }
 
 
@@ -68,13 +71,15 @@ def _flush(stream, text: str = "") -> None:
 
 
 def _cmd_triangle(args: argparse.Namespace) -> Generator[str, None, int]:
+    from . import symbolic, triangles
     rows_fn, first, cap = _TRIANGLES[args.name]
     if args.rows < 1:
         return _fail(2, "--rows must be at least 1")
     if cap is not None and args.rows > cap:
         return _fail(2, f"--rows is capped at {cap} for {args.name}")
-    rows = islice(rows_fn(), args.rows)
+    rows = islice(rows_fn(triangles, symbolic), args.rows)
     if args.format == "json":
+        import json
         yield f'{{"name": {json.dumps(args.name)}, "first_row": {first}, "rows": ['
         for i, row in enumerate(rows):
             yield (", " if i else "") + json.dumps([str(v) for v in row])
@@ -93,10 +98,11 @@ def _cmd_triangle(args: argparse.Namespace) -> Generator[str, None, int]:
 
 
 def _cmd_poly(args: argparse.Namespace) -> Generator[str, None, int]:
-    poly_fn, min_n = _FAMILIES[args.family]
+    from . import symbolic
+    poly_name, min_n = _FAMILIES[args.family]
     if args.n < min_n:
         return _fail(2, f"--n must be at least {min_n} for family {args.family}")
-    poly = poly_fn(args.n)
+    poly = getattr(symbolic, poly_name)(args.n)
     if args.format == "table":
         yield from poly._pieces()
     elif args.format == "csv":
@@ -112,6 +118,8 @@ def _cmd_poly(args: argparse.Namespace) -> Generator[str, None, int]:
 
 
 def _cmd_tan(args: argparse.Namespace) -> Generator[str, None, int]:
+    from . import multiangle
+    from .exact import Rational
     if args.n < 0:
         return _fail(2, "--n must be nonnegative")
     try:
@@ -130,6 +138,7 @@ def _cmd_tan(args: argparse.Namespace) -> Generator[str, None, int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> Generator[str, None, int]:
+    from . import verify
     if args.max_n < 1:
         return _fail(2, "--max-n must be at least 1")
     reports = []
@@ -143,6 +152,7 @@ def _cmd_verify(args: argparse.Namespace) -> Generator[str, None, int]:
                 yield "  " + " ".join(f"{key}={value}" for key, value in record.items()) + "\n"
     all_pass = all(report.passed for report in reports)
     if args.json:
+        import json
         docs = [
             {"suite": r.suite, "checked": r.checked, "pass": r.passed, "failures": r.failures, "notes": r.notes}
             for r in reports
@@ -189,11 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_tan = sub.add_parser("tan", help="evaluate tan(n*x) exactly from t = tan(x)")
     p_tan.add_argument("--n", required=True, type=int)
     p_tan.add_argument("--t", required=True, help="rational value of tan(x), e.g. 3/7 or -2")
-    p_tan.add_argument("--method", default="all", choices=sorted(multiangle.METHODS) + ["all"])
+    p_tan.add_argument("--method", default="all", choices=("addition", "beeler", "gaussian", "all"))
     p_tan.set_defaults(func=_cmd_tan)
 
     p_ver = sub.add_parser("verify", help="run identity verification suites")
-    p_ver.add_argument("--suite", required=True, choices=list(verify.SUITE_NAMES) + ["all"])
+    suites = ("rt-recurrences", "corollary", "dz-expansion", "hoffman", "theorem2", "tables", "beeler", "all")
+    p_ver.add_argument("--suite", required=True, choices=suites)
     p_ver.add_argument("--max-n", type=int, default=12)
     p_ver.add_argument("--json", action="store_true", help="emit the report as JSON")
     p_ver.set_defaults(func=_cmd_verify)

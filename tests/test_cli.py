@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -18,10 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tanpoly import cli, multiangle, verify
+from tanpoly import cli, multiangle, symbolic, triangles, verify
 from tanpoly.exact import Rational
 from tanpoly.multiangle import TanValue
-from tanpoly.symbolic import tilde_rows
+from tanpoly.symbolic import YPoly, tilde_rows
 from tanpoly.triangles import m_row, n_row, r_row, t_row
 from tanpoly.verify import VerifyReport
 
@@ -319,6 +320,85 @@ class TestHarness:
         first = run_cli(capsys, *argv)
         second = run_cli(capsys, *argv)
         assert first == second
+
+
+# sha256 of the text argparse writes at 80 columns, each --help page on
+# stdout and each usage error on stderr, recorded before the commands loaded
+# their own layers. argparse rewords and rewraps between patch releases, so
+# only the interpreters these were recorded on are checked.
+PARSER_TEXT = {
+    ("--help",): "a8456387a19c7d5e10a484dc6d31b9e0efbfffaa0b2691c2d14b1778074dd259",
+    ("triangle", "--help"): "346b3184663aa434f84fd308eedd05bc7d160a58d285cd6ec0e4c04c785093f7",
+    ("poly", "--help"): "c81aeefcdc37d6afe2eab3f3434a2d94740fd00ab96451c9b4a4aa52f8ef2196",
+    ("tan", "--help"): "3134e45f39c749bf7e315d19785a27dc17e850aae26fac74b9b14ac98b37e605",
+    ("verify", "--help"): "573e3709babec4011f42030d1334d58a564c126da080bbd7b96c4062bb5e6939",
+    (): "b2dfd25cec8bd72c28510b22ca25a10c871596d8dca2887ebb805f79cbeaa668",
+    ("triangle", "--name", "X", "--rows", "3"): "581a476b303e5093f7ad10201df3c61d4f531fe3ae53ed07efe5edad7f7db056",
+    ("poly", "--family", "Z", "--n", "3"): "44bb158577213ffd5673a09df327ecf23a1d99288ac2563659b617576db78d28",
+    ("tan", "--n", "3", "--t", "1", "--method", "nope"): "ae66fef99948cdb8c07969725deb64c3af487ad64922a083a0dc4a372260ffa8",
+    ("verify", "--suite", "nope"): "068d99eabf2e460b82062e247cb08ae59cfbb09ae1c734b10a4f29373a87497e",
+}
+PARSER_TEXT_BY_VERSION = {
+    (3, 10, 13): PARSER_TEXT,
+    (3, 11, 7): PARSER_TEXT,
+    (3, 12, 1): PARSER_TEXT,
+    (3, 13, 0): {
+        **PARSER_TEXT,
+        ("verify", "--help"): "76034721c036c2f0b78945cd43a804bb0ad49bc41dec85f10a2511ffc226eb45",
+        ("verify", "--suite", "nope"): "9af38acced5c9d8ed128fbe26067a9631c6eebbde8155626f13cf914e6e38651",
+    },
+    (3, 13, 13): {
+        **PARSER_TEXT,
+        ("verify", "--help"): "76034721c036c2f0b78945cd43a804bb0ad49bc41dec85f10a2511ffc226eb45",
+        ("triangle", "--name", "X", "--rows", "3"): "3e79ce77f4838ad967e4b1a1835183c8d67a06486cbfeada0c3aaba0842a8983",
+        ("poly", "--family", "Z", "--n", "3"): "c2b73f77bfed96de8027f6d020be0afde1d4e90b6003eccf4d45f6f9bcbfc270",
+        ("tan", "--n", "3", "--t", "1", "--method", "nope"):
+            "94ab61b6cc8fe3c0670a0a931c0cb0cfb396f9f70d422c9b2c75cfee2fe05193",
+        ("verify", "--suite", "nope"): "21b2c9284fe83255fd4932a753988369204dfac891eb812aaa5814c03f622935",
+    },
+}
+
+
+def subcommand_choices(command: str, dest: str) -> tuple:
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return tuple(next(a for a in sub.choices[command]._actions if a.dest == dest).choices)
+
+
+class TestParser:
+    def test_choices_match_the_registries(self):
+        assert subcommand_choices("verify", "suite") == (*verify.SUITE_NAMES, "all")
+        assert subcommand_choices("tan", "method") == (*sorted(multiangle.METHODS), "all")
+        assert subcommand_choices("triangle", "name") == tuple(sorted(cli._TRIANGLES))
+        assert subcommand_choices("poly", "family") == tuple(sorted(cli._FAMILIES))
+
+    @pytest.mark.parametrize("argv", list(PARSER_TEXT), ids=lambda argv: " ".join(argv) or "no-args")
+    def test_help_and_usage_text_pinned(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == (0 if "--help" in argv else 2)
+        assert (out if code == 0 else err) != ""
+        assert (err if code == 0 else out) == ""
+        pins = PARSER_TEXT_BY_VERSION.get(sys.version_info[:3])
+        if pins is None:
+            pytest.skip(f"no argparse text recorded for Python {sys.version.split()[0]}")
+        assert hashlib.sha256((out or err).encode()).hexdigest() == pins[argv]
+
+    def test_commands_look_layer_functions_up_when_they_run(self, capsys, monkeypatch):
+        monkeypatch.setattr(symbolic, "hoffman_p", lambda n: YPoly({n: 7}))
+        assert run_cli(capsys, "poly", "--family", "P", "--n", "5") == (0, "7y^5\n", "")
+        monkeypatch.setattr(triangles, "m_row_seq", lambda: iter([(5,), (6, 7)]))
+        assert run_cli(capsys, "triangle", "--name", "M", "--rows", "2") == (0, "5\n6 7\n", "")
+        monkeypatch.setitem(multiangle.METHODS, "gaussian", lambda n, t: TanValue(Rational(n, 11)))
+        assert run_cli(capsys, "tan", "--n", "3", "--t", "1", "--method", "gaussian") == (0, "3/11\n", "")
+
+    def test_traced_poly_records_the_symbolic_span(self, tmp_path):
+        spans = tmp_path / "spans.jsonl"
+        subprocess.run(
+            [sys.executable, str(ROOT / "benchmarks" / "tracer.py"), str(spans), "poly", "--family", "P", "--n", "5"],
+            capture_output=True, check=True, timeout=120, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        names = {(span["layer"], span["name"]) for span in map(json.loads, spans.read_text().splitlines())}
+        assert ("symbolic", "hoffman_p") in names
 
 
 T_VALUES = st.one_of(

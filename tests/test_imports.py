@@ -1,6 +1,8 @@
 """Module layout: triangles and multiangle sit below the modules that use
-them, the identity suites and their report live only in verify, and every
-import is at module level."""
+them, the identity suites and their report live only in verify, importing
+the package loads no module, and each command loads only the layers it
+runs. Imports sit at module level, except at the top of cli's _cmd_*
+commands and in the package __getattr__, which load a layer on first use."""
 
 from __future__ import annotations
 
@@ -10,25 +12,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import tanpoly
 import tanpoly.cli
 
 PACKAGE = Path(tanpoly.__file__).resolve().parent
 
-# Load tanpoly.triangles under an empty stand-in for the package, so the
-# package __init__ (which imports every module) does not run, and list the
-# tanpoly modules that the import pulled in.
-LOAD_TRIANGLES_ALONE = """
-import importlib, sys, types
-pkg = types.ModuleType("tanpoly")
-pkg.__path__ = [sys.argv[1]]
-sys.modules["tanpoly"] = pkg
-importlib.import_module("tanpoly.triangles")
+# Import the module named by the first argument and list the tanpoly modules
+# that the import pulled in.
+LOAD_MODULE_ALONE = """
+import importlib, sys
+importlib.import_module(sys.argv[1])
 print(" ".join(sorted(name for name in sys.modules if name.startswith("tanpoly."))))
 """
-
-# The same for the module named by the second argument.
-LOAD_MODULE_ALONE = LOAD_TRIANGLES_ALONE.replace('"tanpoly.triangles"', "sys.argv[2]")
 
 # Import tanpoly.cli in a fresh interpreter and list the modules the import added.
 IMPORT_CLI = """
@@ -38,23 +35,66 @@ import tanpoly.cli
 print(" ".join(sorted(set(sys.modules) - before)))
 """
 
+# Run the CLI on the given argv with its output discarded, then print the exit
+# code and the tanpoly modules, json, fractions and decimal that are loaded.
+RUN_CLI = """
+import os, sys
+sys.stdout = sys.stderr = open(os.devnull, "w")
+from tanpoly import cli
+code = cli.main(sys.argv[1:])
+sys.stdout = sys.__stdout__
+print(code, *sorted(m for m in sys.modules if m.startswith("tanpoly.") or m in ("json", "fractions", "decimal")))
+"""
+
+
+def fresh(code: str, *args: str) -> list[str]:
+    """Run code in a fresh interpreter without site, so nothing else loads the
+    watched modules, and return its stdout split on whitespace."""
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, *args],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    return result.stdout.split()
+
 
 def test_triangles_does_not_load_symbolic():
-    result = subprocess.run(
-        [sys.executable, "-c", LOAD_TRIANGLES_ALONE, str(PACKAGE)],
-        capture_output=True, text=True, check=True, timeout=60,
-    )
-    loaded = result.stdout.split()
-    assert "tanpoly.triangles" in loaded
-    assert "tanpoly.symbolic" not in loaded
+    assert fresh(LOAD_MODULE_ALONE, "tanpoly.triangles") == ["tanpoly.triangles"]
 
 
 def test_multiangle_loads_only_exact():
-    result = subprocess.run(
-        [sys.executable, "-c", LOAD_MODULE_ALONE, str(PACKAGE), "tanpoly.multiangle"],
-        capture_output=True, text=True, check=True, timeout=60,
-    )
-    assert result.stdout.split() == ["tanpoly.exact", "tanpoly.multiangle"]
+    assert fresh(LOAD_MODULE_ALONE, "tanpoly.multiangle") == ["tanpoly.exact", "tanpoly.multiangle"]
+
+
+def test_bare_import_loads_no_module():
+    assert fresh(LOAD_MODULE_ALONE, "tanpoly") == []
+
+
+TAN_LAYERS = {"tanpoly.cli", "tanpoly.exact", "tanpoly.multiangle", "fractions", "decimal"}
+TRIANGLE_LAYERS = {"tanpoly.cli", "tanpoly.symbolic", "tanpoly.triangles"}
+ALL_LAYERS = TAN_LAYERS | TRIANGLE_LAYERS | {"tanpoly.verify"}
+
+# command line -> the tanpoly modules, json, fractions and decimal it loads
+LOADED_BY = {
+    "--help": {"tanpoly.cli"},
+    "tan --n 3 --t 1": TAN_LAYERS,
+    "tan --n 3 --t 1/2 --method gaussian": TAN_LAYERS,
+    "poly --family P --n 5": TRIANGLE_LAYERS,
+    "poly --family R --n 5 --format csv": TRIANGLE_LAYERS,
+    "poly --family Q --n 5 --format json": TRIANGLE_LAYERS,
+    "triangle --name R --rows 3": TRIANGLE_LAYERS,
+    "triangle --name Rtilde --rows 3 --format bfile": TRIANGLE_LAYERS,
+    "triangle --name M --rows 3 --format json": TRIANGLE_LAYERS | {"json"},
+    "verify --suite tables --max-n 3": ALL_LAYERS,
+    "verify --suite tables --max-n 3 --json": ALL_LAYERS | {"json"},
+}
+
+
+@pytest.mark.parametrize("command", list(LOADED_BY))
+def test_each_command_loads_only_its_layers(command):
+    code, *modules = fresh(RUN_CLI, *command.split())
+    assert code == "0"
+    assert set(modules) == LOADED_BY[command]
 
 
 def test_suites_and_report_live_in_verify():
@@ -68,29 +108,82 @@ def test_suites_and_report_live_in_verify():
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
-    result = subprocess.run(
-        [sys.executable, "-c", IMPORT_CLI],
-        capture_output=True, text=True, check=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
-    )
-    added = result.stdout.split()
+    added = fresh(IMPORT_CLI)
     assert "tanpoly.cli" in added
     assert "dataclasses" not in added
     assert "inspect" not in added
 
 
-def test_no_imports_inside_functions():
+def test_imports_inside_functions_only_in_commands_and_getattr():
+    # a command loads its layers when it runs and the package loads a name on
+    # first use; every other import is at module level
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for func in ast.walk(tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found += [
-                    f"{path.name}:{node.lineno}"
-                    for node in ast.walk(func)
-                    if isinstance(node, (ast.Import, ast.ImportFrom))
-                ]
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            allowed = (
+                path.name == "cli.py" and func.name.startswith("_cmd_")
+                or path.name == "__init__.py" and func.name == "__getattr__"
+            )
+            found += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(func)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and not allowed
+            ]
     assert found == []
+
+
+# public name -> home module, as the package __init__ imported them eagerly
+HOMES = {
+    "exact": ["GaussianInt", "Rational"],
+    "multiangle": ["DEFAULT_GRID", "POLE", "TanValue", "tan_addition", "tan_beeler", "tan_float_check", "tan_gaussian"],
+    "symbolic": [
+        "InternalInconsistencyError", "ReducedPair", "YPoly", "YZPoly", "apply_dz", "diff", "dz_iter", "hoffman_p",
+        "hoffman_q", "r_poly_closed", "r_poly_dz", "reduce_z", "reduced_diff", "t_poly_closed", "t_poly_dz",
+        "tilde_rows",
+    ],
+    "triangles": ["binom", "m_closed", "m_row", "n_closed", "n_row", "r_coef", "r_row", "t_coef", "t_row"],
+    "verify": [
+        "RTILDE_GOLDEN", "TTILDE_GOLDEN", "VerifyReport", "run_all", "run_suite", "verify_closed_forms",
+        "verify_hoffman", "verify_operator_expansion", "verify_rec_vs_closed", "verify_rt_recurrences",
+        "verify_tables", "verify_triple_agreement",
+    ],
+}
+
+SUBMODULES = ("cli", "exact", "multiangle", "symbolic", "triangles", "verify")
+
+# After a bare import, list dir(), star-import every name, then read the submodules.
+STAR_IMPORT = f"""
+import tanpoly
+listed = set(dir(tanpoly))
+names = {{}}
+exec("from tanpoly import *", names)
+print({{*tanpoly.__all__, *{SUBMODULES}}} <= listed, set(tanpoly.__all__) <= set(names))
+print(*(getattr(tanpoly, name).__name__ for name in {SUBMODULES}))
+"""
+
+
+class TestLazyNamespace:
+    def test_all_is_unchanged(self):
+        assert tanpoly.__all__ == sorted(name for names in HOMES.values() for name in names)
+
+    @pytest.mark.parametrize("home", sorted(HOMES))
+    def test_names_resolve_to_the_home_objects(self, home):
+        module = getattr(tanpoly, home)
+        assert module.__name__ == f"tanpoly.{home}"
+        for name in HOMES[home]:
+            assert getattr(tanpoly, name) is getattr(module, name), name
+
+    def test_dir_star_import_and_submodules_after_a_bare_import(self):
+        assert fresh(STAR_IMPORT) == ["True", "True", *(f"tanpoly.{name}" for name in SUBMODULES)]
+
+    def test_unknown_names_raise_attribute_error(self):
+        for name in ("no_such_name", "m_rec", "report", "_HOME_OF"):
+            assert not hasattr(tanpoly, name), name
+        with pytest.raises(AttributeError, match="no_such_name"):
+            tanpoly.no_such_name
 
 
 def _is_sys_stdout(node: ast.AST) -> bool:
