@@ -6,8 +6,9 @@ multiple-angle evaluator needs. Rational is a fractions.Fraction that only
 accepts int numerator and denominator, so a float, string or Decimal can
 never slip in as an approximate tan(x); its arithmetic is Fraction's and
 returns plain Fraction values. GaussianInt, an exact complex integer, is
-kept as a small class of its own: its ring operations are the oracle the
-tests use for powers, and its powering is what tan_gaussian runs.
+kept as a small class of its own. Its powering, which tan_gaussian runs,
+works on plain ints and builds one GaussianInt at the end; __mul__, which
+it does not call, is the oracle the tests compare powers with.
 Values are immutable after construction and all operations are pure, so
 they are safe to share between threads.
 """
@@ -71,16 +72,17 @@ class GaussianInt:
         )
 
     def __pow__(self, n: int) -> GaussianInt:
+        """Binary powering on ints; the base a + b*i squares to (a^2 - b^2) + 2ab*i."""
         if n < 0:
             raise ValueError("negative exponent")
-        result = GaussianInt(1, 0)
-        base = self
+        re, im, a, b = 1, 0, self.re, self.im
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                re, im = re * a - im * b, re * b + im * a
             n >>= 1
-        return result
+            if n:
+                a, b = a * a - b * b, 2 * a * b
+        return GaussianInt(re, im)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GaussianInt):

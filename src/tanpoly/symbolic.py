@@ -43,8 +43,9 @@ YZPoly in the quotient ring Z[y, z]/(z^2 - 1 - y^2); reduced_diff is the
 derivation on such pairs. P_n and Q_n, and R_n and T_n on the operator
 route, are stepped as dense rows of one parity, where row[i] is the
 coefficient of y^(2i+e), and made YPoly only when drawn; _stride_poly is
-the one conversion from such a row, and the closed forms of R_n and T_n go
-through it too, from _binomial_closed_form, which sets their parity. R_n,
+the one conversion from such a row. The closed form of R_n or T_n is such a
+row too: _binomial_closed_row makes it and sets its parity, r_poly_closed
+and t_poly_closed wrap it, and the theorem2 suite compares the rows. R_n,
 T_n come three ways that share no code: Horner's rule in w = 1 + y^2 on
 their binomial closed forms (r_poly_closed, t_poly_closed), the operator
 route on rows (r_poly_dz, t_poly_dz) and the recurrence rows.
@@ -394,7 +395,7 @@ def r_poly_closed(n: int) -> YPoly:
     R_n(y) = sum over k <= floor((n-1)/2) of
              C(n, 2k+1) * y^(n-2k-1) * (1 + y^2)^(floor(n/2) + k).
     """
-    return _binomial_closed_form(n, 1)
+    return _stride_poly(*_binomial_closed_row(n, 1))
 
 
 def t_poly_closed(n: int) -> YPoly:
@@ -403,15 +404,15 @@ def t_poly_closed(n: int) -> YPoly:
     T_n(y) = sum over k <= floor(n/2) of
              C(n, 2k) * y^(n-2k) * (1 + y^2)^(floor((n-1)/2) + k).
     """
-    return _binomial_closed_form(n, 0)
+    return _stride_poly(*_binomial_closed_row(n, 0))
 
 
-def _binomial_closed_form(n: int, odd: int) -> YPoly:
+def _binomial_closed_row(n: int, odd: int) -> tuple[list[int], int]:
     """R_n (odd = 1) or T_n (odd = 0): the sum over k <= K = floor((n-odd)/2) of
     C(n, 2k+odd) * y^(n-2k-odd) * w^(floor((n-1+odd)/2) + k), w = 1 + y^2, as
-    the YPoly of its n coefficients of y^e, y^(e+2), ..., e = (n-odd) % 2, the
-    one place the parity is set. All terms have one degree in y^2, so Horner's
-    rule in w runs from the top (one shift-add per step).
+    (row, e), the row of its n coefficients of y^e, y^(e+2), ..., e = (n-odd) % 2,
+    the one place the parity is set. All terms have one degree in y^2, so
+    Horner's rule in w runs from the top (one shift-add per step).
     """
     if n < 1:
         raise ValueError("family is defined for n >= 1")
@@ -422,7 +423,7 @@ def _binomial_closed_form(n: int, odd: int) -> YPoly:
         acc = list(map(operator.add, acc + [0], [0] + acc))
         if k >= 0:
             acc[-1] += coef(n, k)
-    return _stride_poly(acc, (n - odd) % 2)
+    return acc, (n - odd) % 2
 
 
 def tilde_rows() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -9,9 +9,10 @@ hoffman itself. Each reference value is read once: rt-recurrences carries
 the binomial row n + 1 of step n to step n + 1, and corollary and
 dz-expansion make one closed M and N row per n. Reports are plain data;
 output formats, rendering and exit-code policy live in the cli module.
-Failure records are built in _Tally.check and keep every value as an
-exact decimal string so reports can be serialized without any floating
-point; a row is written as a list, [1, 5, 4].
+rt-recurrences, corollary and theorem2 compare whole rows; only a row that
+differs goes entry by entry through _Tally.check, which builds failure
+records that keep every value as an exact decimal string (a row is written
+as a list, [1, 5, 4]), so reports serialize without floating point.
 
 The embedded rows are the first five rows of A056242 (k-part
 order-consecutive partition counts) and of A210753. They are test data,
@@ -26,7 +27,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from .multiangle import DEFAULT_GRID, tan_addition_seq, tan_beeler, tan_gaussian
 from .symbolic import ReducedPair, YPoly, YZPoly, diff, dz_seq, hoffman_p_seq, hoffman_q_seq, reduce_z
-from .symbolic import r_poly_closed, r_poly_dz_seq, t_poly_closed, t_poly_dz_seq, tilde_rows
+from .symbolic import _binomial_closed_row, _dz_rows, _stride_poly, tilde_rows
 from .triangles import _mn_closed_row, m_row_seq, n_row_seq, r_coef, t_coef
 
 RTILDE_GOLDEN: tuple[tuple[int, ...], ...] = (
@@ -61,7 +62,8 @@ class VerifyReport(NamedTuple):
 
 class _Tally:
     """Bookkeeping for one suite run: rejects max_n below the suite's floor,
-    counts comparisons as they are made and keeps a record of each failed one.
+    counts comparisons and keeps a record of each failed one. A suite that
+    finds whole rows equal adds the comparisons they stand for to checked.
     """
 
     def __init__(self, suite: str, max_n: int, least: int, notes: tuple[str, ...] = ()):
@@ -94,19 +96,24 @@ def verify_rt_recurrences(max_n: int) -> VerifyReport:
     Runs for 1 <= n <= max_n with k covering the full row plus one index on
     each side, so the out-of-range zero convention is exercised too. Each
     row is read once through r_coef/t_coef: row n+1 of step n is row n of
-    step n+1.
+    step n+1. Each side is a list over k; records (R, then T, at each k) are
+    made only at an n where a pair of lists differs.
     """
     tally = _Tally("rt-recurrences", max_n, 1)
     r_row, t_row = _binomial_row(r_coef, 1), _binomial_row(t_coef, 1)
     for n in range(1, max_n + 1):
         r_next, t_next = _binomial_row(r_coef, n + 1), _binomial_row(t_coef, n + 1)
-        for k in range((n + 1) // 2 + 2):
-            lhs = n * r_next[k + 1]
-            rhs = (n + 2 * k + 1) * r_row[k + 1] + (n - 2 * k + 1) * r_row[k]
-            tally.check(lhs == rhs, family="R", n=n, k=k, lhs=lhs, rhs=rhs)
-            lhs = n * t_next[k + 1]
-            rhs = (n + 2 * k) * t_row[k + 1] + (n - 2 * k + 2) * t_row[k]
-            tally.check(lhs == rhs, family="T", n=n, k=k, lhs=lhs, rhs=rhs)
+        width = (n + 1) // 2 + 2
+        r_lhs = [n * c for c in r_next[1 : width + 1]]
+        r_rhs = [(n + 2 * k + 1) * a + (n - 2 * k + 1) * b for k, a, b in zip(range(width), r_row[1:], r_row)]
+        t_lhs = [n * c for c in t_next[1 : width + 1]]
+        t_rhs = [(n + 2 * k) * a + (n - 2 * k + 2) * b for k, a, b in zip(range(width), t_row[1:], t_row)]
+        if r_lhs == r_rhs and t_lhs == t_rhs:
+            tally.checked += 2 * width
+        else:
+            for k in range(width):
+                tally.check(r_lhs[k] == r_rhs[k], family="R", n=n, k=k, lhs=r_lhs[k], rhs=r_rhs[k])
+                tally.check(t_lhs[k] == t_rhs[k], family="T", n=n, k=k, lhs=t_lhs[k], rhs=t_rhs[k])
         r_row, t_row = r_next, t_next
     return tally.report()
 
@@ -116,8 +123,8 @@ def verify_rec_vs_closed(max_n: int) -> VerifyReport:
 
     M is compared for k <= floor(n/2) and N for k <= floor((n+1)/2); the
     checked count is the total number of row entries compared. Each n draws
-    one recurrence row and one closed row (_mn_closed_row) per family and
-    indexes both over that range.
+    one recurrence row and one closed row (_mn_closed_row) per family; rows
+    that differ are indexed up to the longer length, so a wrong length raises.
     """
     note = (
         "N is checked on its full defining range k <= floor((n+1)/2), "
@@ -128,7 +135,10 @@ def verify_rec_vs_closed(max_n: int) -> VerifyReport:
     for n, m_row, n_row in zip(range(max_n + 1), m_row_seq(), n_row_seq()):
         for s, family, rec_row in ((0, "M", m_row), (1, "N", n_row)):
             closed_row = _mn_closed_row(n, s)
-            for k in range((n + s) // 2 + 1):
+            if rec_row == closed_row:
+                tally.checked += len(closed_row)
+                continue
+            for k in range(max(len(rec_row), len(closed_row))):
                 rec, closed = rec_row[k], closed_row[k]
                 tally.check(rec == closed, family=family, n=n, k=k, rec=rec, closed=closed)
     return tally.report()
@@ -176,16 +186,23 @@ def verify_closed_forms(max_n: int) -> VerifyReport:
     """Check the binomial closed forms against the operator extraction route
     and against the recurrence rows of the tilde triangles.
 
-    The operator route is r_poly_dz_seq/t_poly_dz_seq and the recurrence is
-    tilde_rows, each swept once over n; the closed forms are direct. Row n
-    of Rtilde is compared with the coefficients of y^0, y^2, ..., y^(2n-2)
-    of R_n (odd n) or T_n (even n), and row n of Ttilde with those of y^1,
-    ..., y^(2n-1) of the other one.
+    The operator route is the (row, parity) pairs of _dz_rows and the
+    recurrence is tilde_rows, each swept once over n; the closed forms are
+    direct, as (row, parity) pairs. Row n of Rtilde is compared with the
+    coefficients of y^0, y^2, ..., y^(2n-2) of R_n (odd n) or T_n (even n),
+    and row n of Ttilde with those of y^1, ..., y^(2n-1) of the other one.
+    YPolys are made, and the four records, only at an n where a row differs.
     """
     tally = _Tally("theorem2", max_n, 1)
-    routes = zip(range(1, max_n + 1), r_poly_dz_seq(), t_poly_dz_seq(), tilde_rows())
+    routes = zip(range(1, max_n + 1), _dz_rows(0), _dz_rows(1), tilde_rows())
     for n, r_operator, t_operator, (r_tilde, t_tilde) in routes:
-        r_closed, t_closed = r_poly_closed(n), t_poly_closed(n)
+        r_closed, t_closed = _binomial_closed_row(n, 1), _binomial_closed_row(n, 0)
+        even, odd = (r_closed, t_closed) if n % 2 else (t_closed, r_closed)
+        if (r_closed, t_closed, tuple(even[0]), tuple(odd[0])) == (r_operator, t_operator, r_tilde, t_tilde):
+            tally.checked += 4
+            continue
+        r_closed, t_closed = _stride_poly(*r_closed), _stride_poly(*t_closed)
+        r_operator, t_operator = _stride_poly(*r_operator), _stride_poly(*t_operator)
         tally.check(r_closed == r_operator, family="R", n=n, closed=r_closed, operator=r_operator)
         tally.check(t_closed == t_operator, family="T", n=n, closed=t_closed, operator=t_operator)
         even, odd = (r_closed, t_closed) if n % 2 else (t_closed, r_closed)

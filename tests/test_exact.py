@@ -109,7 +109,7 @@ class TestGaussianInt:
         with pytest.raises(ValueError):
             GaussianInt(1, 1) ** -1
 
-    @given(gaussians, st.integers(0, 10))
+    @given(gaussians, st.integers(0, 70))
     def test_pow_matches_repeated_mul(self, a, n):
         expected = GaussianInt(1, 0)
         for _ in range(n):

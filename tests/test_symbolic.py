@@ -6,7 +6,7 @@ z^2 = 1 + y^2 for the reduction; a Fibonacci-type recurrence on plain
 integer lists for the R and T closed forms and the tilde rows; and sympy
 computing genuine n-th derivatives of tan and sec by calculus alone,
 compared numerically at a rational point with 50 digits of precision and,
-for P_n and Q_n, exactly, coefficient for coefficient.
+for P_n, Q_n, R_n and T_n, exactly, coefficient for coefficient.
 """
 
 from __future__ import annotations
@@ -408,6 +408,22 @@ class TestRTFamilies:
         if n % 2 == 0:
             rhs = rhs * sec0
         assert close_enough(lhs, rhs)
+
+    def test_exactly_against_calculus(self):
+        # one sweep of the weighted step f -> d/dx(sec(x) f) on sec and on tan,
+        # expanded at each step; the (n-1)-th iterate reduces to (n-1)! R_n or
+        # (n-1)! T_n, on the z part for odd R_n and even T_n, z-free otherwise
+        r, t = sympy.sec(X), sympy.tan(X)
+        for n in range(1, 31):
+            if n > 1:
+                r, t = (sympy.expand(sympy.diff(sympy.sec(X) * f, X)) for f in (r, t))
+            if n not in (1, 2, 7, 30):
+                continue
+            scale = math.factorial(n - 1)
+            for f, closed, z_part in ((r, r_poly_closed(n), n % 2), (t, t_poly_closed(n), 1 - n % 2)):
+                parts = [{a: Fraction(c, scale) for a, c in part.items()} for part in reduced_coefficients(f)]
+                want = dict(closed.terms())
+                assert parts == ([{}, want] if z_part else [want, {}]), n
 
     def test_closed_forms_match_fibonacci_type_recurrence(self):
         # n = 2000 reaches powers of 1 + y^2 up to 1999

@@ -141,8 +141,8 @@ def bump(row, k):
     return (*row[:k], row[k] + 1, *row[k + 1 :])
 
 
-def spoil_row(n, k):
-    """A patch for a row sequence that adds 1 to entry k of row n.
+def spoil_row(n, *ks):
+    """A patch for a row sequence that adds 1 to each entry k of row n.
 
     Each call starts a fresh sequence: the suite is run twice, and a sequence
     made once would be used up by the first run.
@@ -151,7 +151,23 @@ def spoil_row(n, k):
     def patch(real):
         def patched():
             for i, row in enumerate(real()):
-                yield bump(row, k) if i == n else row
+                if i == n:
+                    for k in ks:
+                        row = bump(row, k)
+                yield row
+
+        return patched
+
+    return patch
+
+
+def spoil_coef(*at):
+    """A patch for a binomial function that adds 1 to its value at each (n, k) in at."""
+
+    def patch(real):
+        def patched(n, k):
+            value = real(n, k)
+            return value + 1 if (n, k) in at else value
 
         return patched
 
@@ -239,6 +255,40 @@ FAULTS = {
 }
 
 
+# suite: (the functions spoiled, as (module, name, patch), and the failure
+# records expected at max_n = 7, in order), for the suites that compare whole
+# rows and build records only for a row that differs. rt-recurrences has R
+# and T wrong at two k of one n, corollary two entries of one M row, and
+# theorem2 both closed forms wrong at one n, which spoils all four records.
+MULTI_FAULTS = {
+    "rt-recurrences": (
+        [(verify, "r_coef", spoil_coef((8, 1), (8, 3))), (verify, "t_coef", spoil_coef((8, 1), (8, 3)))],
+        [
+            {"family": "R", "n": "7", "k": "1", "lhs": "399", "rhs": "392"},
+            {"family": "T", "n": "7", "k": "1", "lhs": "203", "rhs": "196"},
+            {"family": "R", "n": "7", "k": "3", "lhs": "63", "rhs": "56"},
+            {"family": "T", "n": "7", "k": "3", "lhs": "203", "rhs": "196"},
+        ],
+    ),
+    "corollary": (
+        [(verify, "m_row_seq", spoil_row(5, 0, 2))],
+        [
+            {"family": "M", "n": "5", "k": "0", "rec": "721", "closed": "720"},
+            {"family": "M", "n": "5", "k": "2", "rec": "721", "closed": "720"},
+        ],
+    ),
+    "theorem2": (
+        [(symbolic, "r_coef", spoil_coef((4, 1))), (symbolic, "t_coef", spoil_coef((4, 1)))],
+        [
+            {"family": "R", "n": "4", "closed": "5y + 19y^3 + 23y^5 + 9y^7", "operator": "4y + 16y^3 + 20y^5 + 8y^7"},
+            {"family": "T", "n": "4", "closed": "1 + 10y^2 + 18y^4 + 9y^6", "operator": "1 + 9y^2 + 16y^4 + 8y^6"},
+            {"family": "Rtilde", "n": "4", "closed": "[1, 10, 18, 9]", "recurrence": "[1, 9, 16, 8]"},
+            {"family": "Ttilde", "n": "4", "closed": "[5, 19, 23, 9]", "recurrence": "[4, 16, 20, 8]"},
+        ],
+    ),
+}
+
+
 def json_failures(suite, capsys):
     """The failure records of `verify --suite <suite> --max-n 7 --json`, which must exit 1."""
     assert cli.main(["verify", "--suite", suite, "--max-n", "7", "--json"]) == 1
@@ -259,6 +309,30 @@ class TestFailureRecords:
         assert report.checked == checked
         assert [list(f.items()) for f in report.failures] == [list(record.items())]
         assert json_failures(suite, capsys) == [list(record.items())]
+
+    @pytest.mark.parametrize("suite", sorted(MULTI_FAULTS))
+    def test_several_wrong_values(self, suite, monkeypatch, capsys):
+        patches, records = MULTI_FAULTS[suite]
+        for module, name, patch in patches:
+            monkeypatch.setattr(module, name, patch(getattr(module, name)))
+
+        report = run_suite(suite, 7)
+        assert report.checked == FAULTS[suite][3]
+        assert [list(f.items()) for f in report.failures] == [list(r.items()) for r in records]
+        assert json_failures(suite, capsys) == [list(r.items()) for r in records]
+
+    @pytest.mark.parametrize("length", [2, 4], ids=["short", "long"])
+    def test_corollary_row_of_wrong_length_raises(self, monkeypatch, length):
+        # row 5 of M has three entries; it is cut to two or padded with a 0
+        real = verify.m_row_seq
+
+        def patched():
+            for i, row in enumerate(real()):
+                yield (*row, 0)[:length] if i == 5 else row
+
+        monkeypatch.setattr(verify, "m_row_seq", patched)
+        with pytest.raises(IndexError):
+            run_suite("corollary", 7)
 
 
 class TestOneRoutePerFamily:
@@ -416,6 +490,29 @@ class TestLinearWork:
             monkeypatch.setattr(verify, name, counted)
         assert verify.verify_rec_vs_closed(m).passed
         assert drawn == {"m_row_seq": m + 1, "n_row_seq": m + 1}
+
+
+    @pytest.mark.parametrize("suite", ["rt-recurrences", "corollary", "theorem2"])
+    @pytest.mark.parametrize("m", [7, 30])
+    def test_passing_rows_take_one_comparison(self, monkeypatch, suite, m):
+        # A row that passes is one comparison: no entry goes through
+        # _Tally.check and theorem2 makes no YPoly, yet every entry is counted.
+        calls = Counter()
+        for owner, name in ((verify._Tally, "check"), (symbolic, "_stride_poly"), (verify, "_stride_poly")):
+
+            def counted(*args, name=name, real=getattr(owner, name), **fields):
+                calls[name] += 1
+                return real(*args, **fields)
+
+            monkeypatch.setattr(owner, name, counted)
+        checked = {
+            "rt-recurrences": sum(2 * ((n + 1) // 2 + 2) for n in range(1, m + 1)),
+            "corollary": sum(n // 2 + 1 + (n + 1) // 2 + 1 for n in range(m + 1)),
+            "theorem2": 4 * m,
+        }
+        report = run_suite(suite, m)
+        assert report.passed and report.checked == checked[suite]
+        assert calls == {}
 
 
 class TestPerNCall:
