@@ -8,10 +8,11 @@ and returns the exit code; _run alone writes each piece as it is drawn.
 
 A command imports its layers when it runs and looks their functions up
 through the module, so parsing and --help load none. tan loads exact and
-multiangle; poly and triangle load triangles and symbolic; verify loads
-all five; json is loaded only for triangle --format json and verify --json.
-The --method and --suite choices are literals, in the order of
-sorted(multiangle.METHODS) and verify.SUITE_NAMES.
+multiangle; poly loads symbolic, with triangles under it; triangle loads
+the module its rows come from (triangles, or symbolic for Rtilde/Ttilde);
+verify loads all five; json is loaded only for triangle --format json and
+verify --json. The --method and --suite choices are literals, in the
+order of sorted(multiangle.METHODS) and verify.SUITE_NAMES.
 
 Exit codes: 0 success or all checks pass, 1 verification disagreement, 2
 usage error, 74 output not written, 141 broken pipe (silent, as with
@@ -19,9 +20,10 @@ SIGPIPE). With stderr closed or failing the codes are the same and
 nothing extra reaches stdout; _fail writes every error line, and
 argparse's help and usage messages go through the same writers. Output for
 fixed arguments is byte-identical across runs; every number is printed
-as an exact decimal string. The bfile format is one "index value" pair
-per line with a single space, indices starting at 1, triangles flattened
-row by row from the left.
+as an exact decimal string, and poly converts big coefficients by halves
+(symbolic._digits). The bfile format is one "index value" pair per line
+with a single space, indices starting at 1, triangles flattened row by row
+from the left.
 """
 
 from __future__ import annotations
@@ -31,16 +33,17 @@ import operator
 import os
 import sys
 from collections.abc import Generator
+from importlib import import_module
 from itertools import count, islice
 
 _TRIANGLES = {
-    # name: (rows from the first row on, given the triangles and symbolic modules; first row index, row cap)
-    "R": (lambda tri, sym: map(tri.r_row, count(0)), 0, None),
-    "T": (lambda tri, sym: map(tri.t_row, count(0)), 0, None),
-    "M": (lambda tri, sym: tri.m_row_seq(), 0, 60),
-    "N": (lambda tri, sym: tri.n_row_seq(), 0, 60),
-    "Rtilde": (lambda tri, sym: map(operator.itemgetter(0), sym.tilde_rows()), 1, None),
-    "Ttilde": (lambda tri, sym: map(operator.itemgetter(1), sym.tilde_rows()), 1, None),
+    # name: (module the rows come from, rows from the first row on given that module; first row index, row cap)
+    "R": ("triangles", lambda tri: map(tri.r_row, count(0)), 0, None),
+    "T": ("triangles", lambda tri: map(tri.t_row, count(0)), 0, None),
+    "M": ("triangles", lambda tri: tri.m_row_seq(), 0, 60),
+    "N": ("triangles", lambda tri: tri.n_row_seq(), 0, 60),
+    "Rtilde": ("symbolic", lambda sym: map(operator.itemgetter(0), sym.tilde_rows()), 1, None),
+    "Ttilde": ("symbolic", lambda sym: map(operator.itemgetter(1), sym.tilde_rows()), 1, None),
 }
 
 _FAMILIES = {
@@ -71,13 +74,12 @@ def _flush(stream, text: str = "") -> None:
 
 
 def _cmd_triangle(args: argparse.Namespace) -> Generator[str, None, int]:
-    from . import symbolic, triangles
-    rows_fn, first, cap = _TRIANGLES[args.name]
+    home, rows_fn, first, cap = _TRIANGLES[args.name]
     if args.rows < 1:
         return _fail(2, "--rows must be at least 1")
     if cap is not None and args.rows > cap:
         return _fail(2, f"--rows is capped at {cap} for {args.name}")
-    rows = islice(rows_fn(triangles, symbolic), args.rows)
+    rows = islice(rows_fn(import_module(f".{home}", __package__)), args.rows)
     if args.format == "json":
         import json
         yield f'{{"name": {json.dumps(args.name)}, "first_row": {first}, "rows": ['
@@ -102,16 +104,16 @@ def _cmd_poly(args: argparse.Namespace) -> Generator[str, None, int]:
     poly_name, min_n = _FAMILIES[args.family]
     if args.n < min_n:
         return _fail(2, f"--n must be at least {min_n} for family {args.family}")
-    poly = getattr(symbolic, poly_name)(args.n)
+    poly, digits = getattr(symbolic, poly_name)(args.n), symbolic._digits
     if args.format == "table":
-        yield from poly._pieces()
+        yield from poly._pieces(digits)
     elif args.format == "csv":
         for i, (a, c) in enumerate(poly.terms()):
-            yield ("\n" if i else "") + f"{a},{c}"
+            yield ("\n" if i else "") + f"{a},{digits(c)}"
     else:  # json.dumps([[a, str(c)], ...])
         yield "["
         for i, (a, c) in enumerate(poly.terms()):
-            yield (", " if i else "") + f'[{a}, "{c}"]'
+            yield (", " if i else "") + f'[{a}, "{digits(c)}"]'
         yield "]"
     yield "\n"
     return 0

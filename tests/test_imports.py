@@ -82,9 +82,9 @@ LOADED_BY = {
     "poly --family P --n 5": TRIANGLE_LAYERS,
     "poly --family R --n 5 --format csv": TRIANGLE_LAYERS,
     "poly --family Q --n 5 --format json": TRIANGLE_LAYERS,
-    "triangle --name R --rows 3": TRIANGLE_LAYERS,
+    "triangle --name R --rows 3": {"tanpoly.cli", "tanpoly.triangles"},
     "triangle --name Rtilde --rows 3 --format bfile": TRIANGLE_LAYERS,
-    "triangle --name M --rows 3 --format json": TRIANGLE_LAYERS | {"json"},
+    "triangle --name M --rows 3 --format json": {"tanpoly.cli", "tanpoly.triangles", "json"},
     "verify --suite tables --max-n 3": ALL_LAYERS,
     "verify --suite tables --max-n 3 --json": ALL_LAYERS | {"json"},
 }

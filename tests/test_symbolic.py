@@ -12,21 +12,26 @@ for P_n, Q_n, R_n and T_n, exactly, coefficient for coefficient.
 from __future__ import annotations
 
 import math
+import random
 import sys
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain, zip_longest
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tanpoly import symbolic
 from tanpoly.symbolic import (
     InternalInconsistencyError,
     ReducedPair,
     YPoly,
     YZPoly,
+    _digits,
     _dz_step,
     apply_dz,
     diff,
@@ -198,6 +203,93 @@ class TestPolyBasics:
         assert p(3) == 19
         q = YZPoly({(1, 1): 2})
         assert q(3, 5) == 30
+
+
+@contextmanager
+def lifted_digit_limit():
+    """The interpreter's int -> str digit limit lifted, as the CLI runs."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@contextmanager
+def watched_splits():
+    """Collect the high half of every split _digits makes: the quotient of
+    its one division."""
+    highs: list[int] = []
+
+    def spy(dividend: int, divisor: int) -> tuple[int, int]:
+        hi, rest = divmod(dividend, divisor)
+        highs.append(hi)
+        return hi, rest
+
+    with lifted_digit_limit(), mock.patch.object(symbolic, "divmod", spy, create=True):
+        yield highs
+
+
+# decimal exponents around the leaf size (500 digits) and the band edges
+# (1,000 and 15,000 digits), and bit lengths around the same three
+EDGE_DIGITS = [*range(495, 506), *range(995, 1006), *range(14995, 15006)]
+EDGE_BITS = [*range(1655, 1668), *range(3315, 3330), *range(49825, 49845)]
+
+
+class TestDigits:
+    def test_equals_str_at_the_edges(self):
+        values = [0, 1, 9, 10, 10**5000 + 7, 3 * 10**4200 + 10**7]
+        values += [10**k + e for k in EDGE_DIGITS for e in (-1, 0, 1)]
+        values += [2**k + e for k in EDGE_BITS for e in (-1, 0)]
+        with watched_splits() as highs:
+            for c in values + [-c for c in values]:
+                assert _digits(c) == str(c), c
+        assert highs and min(highs) >= 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 150_000), st.integers(0, 2**32), st.integers(0, 3))
+    def test_equals_str(self, bits, seed, shift):
+        c = random.Random(seed).getrandbits(bits) >> shift
+        with watched_splits() as highs:
+            assert _digits(c) == str(c)
+            assert _digits(-c) == str(-c)
+        assert all(hi >= 1 for hi in highs)
+
+    def test_digit_estimate_is_at_most_the_digit_count(self):
+        # c >= 2^(b-1) for c of bit length b, so 10^(n-1) <= 2^(b-1) gives
+        # hi >= 1 at every split; checked for every b up to past the band
+        low, m, power = 1, 0, 1  # 2^(b-1) and power = 10^m
+        for b in range(1, 50_000):
+            n = b * 1233 >> 12
+            while m < n - 1:
+                m, power = m + 1, power * 10
+            assert power <= low, b
+            low <<= 1
+
+    def test_library_rendering_unchanged(self):
+        p = YPoly({0: -2, 1: 3, 2: -1, 5: 12})
+        assert list(p._pieces()) == ["-2", " + 3y", " - y^2", " + 12y^5"]
+        assert list(YZPoly({(2, 3): -6, (0, 5): 1})._pieces()) == ["z^5", " - 6y^2z^3"]
+        assert list(YPoly.zero()._pieces()) == ["0"]
+        big = hoffman_p(1000) - YPoly({7: 10**5000})
+        with lifted_digit_limit():
+            assert list(big._pieces(_digits)) == list(big._pieces()) == list(big._pieces(str))
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int -> str digit limit")
+    def test_library_rendering_keeps_the_digit_limit(self):
+        p = YPoly({0: 1, 3: 10**4999})
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the default
+        try:
+            with pytest.raises(ValueError):
+                str(p)
+            with pytest.raises(ValueError):
+                list(p._pieces())
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestDerivation:
