@@ -28,9 +28,11 @@ _HOME = {
         "symbolic": (
             "InternalInconsistencyError", "ReducedPair", "YPoly", "YZPoly", "apply_dz", "diff", "dz_iter",
             "hoffman_p", "hoffman_q", "r_poly_closed", "r_poly_dz", "reduce_z", "reduced_diff",
-            "t_poly_closed", "t_poly_dz", "tilde_rows",
+            "t_poly_closed", "t_poly_dz",
         ),
-        "triangles": ("binom", "m_closed", "m_row", "n_closed", "n_row", "r_coef", "r_row", "t_coef", "t_row"),
+        "triangles": (
+            "binom", "m_closed", "m_row", "n_closed", "n_row", "r_coef", "r_row", "t_coef", "t_row", "tilde_rows",
+        ),
         "verify": (
             "RTILDE_GOLDEN", "TTILDE_GOLDEN", "VerifyReport", "run_all", "run_suite", "verify_closed_forms",
             "verify_hoffman", "verify_operator_expansion", "verify_rec_vs_closed", "verify_rt_recurrences",

@@ -9,10 +9,10 @@ and returns the exit code; _run alone writes each piece as it is drawn.
 A command imports its layers when it runs and looks their functions up
 through the module, so parsing and --help load none. tan loads exact and
 multiangle; poly loads symbolic, with triangles under it; triangle loads
-the module its rows come from (triangles, or symbolic for Rtilde/Ttilde);
-verify loads all five; json is loaded only for triangle --format json and
-verify --json. The --method and --suite choices are literals, in the
-order of sorted(multiangle.METHODS) and verify.SUITE_NAMES.
+triangles alone, which makes the rows of all six; verify loads all five;
+json is loaded only for triangle --format json and verify --json. The
+--method and --suite choices are literals, in the order of
+sorted(multiangle.METHODS) and verify.SUITE_NAMES.
 
 Exit codes: 0 success or all checks pass, 1 verification disagreement, 2
 usage error, 74 output not written, 141 broken pipe (silent, as with
@@ -33,17 +33,16 @@ import operator
 import os
 import sys
 from collections.abc import Generator
-from importlib import import_module
 from itertools import count, islice
 
 _TRIANGLES = {
-    # name: (module the rows come from, rows from the first row on given that module; first row index, row cap)
-    "R": ("triangles", lambda tri: map(tri.r_row, count(0)), 0, None),
-    "T": ("triangles", lambda tri: map(tri.t_row, count(0)), 0, None),
-    "M": ("triangles", lambda tri: tri.m_row_seq(), 0, 60),
-    "N": ("triangles", lambda tri: tri.n_row_seq(), 0, 60),
-    "Rtilde": ("symbolic", lambda sym: map(operator.itemgetter(0), sym.tilde_rows()), 1, None),
-    "Ttilde": ("symbolic", lambda sym: map(operator.itemgetter(1), sym.tilde_rows()), 1, None),
+    # name: (rows from the first row on given the triangles module, first row index, row cap)
+    "R": (lambda tri: map(tri.r_row, count(0)), 0, None),
+    "T": (lambda tri: map(tri.t_row, count(0)), 0, None),
+    "M": (lambda tri: tri.m_row_seq(), 0, 60),
+    "N": (lambda tri: tri.n_row_seq(), 0, 60),
+    "Rtilde": (lambda tri: map(operator.itemgetter(0), tri.tilde_rows()), 1, None),
+    "Ttilde": (lambda tri: map(operator.itemgetter(1), tri.tilde_rows()), 1, None),
 }
 
 _FAMILIES = {
@@ -74,12 +73,13 @@ def _flush(stream, text: str = "") -> None:
 
 
 def _cmd_triangle(args: argparse.Namespace) -> Generator[str, None, int]:
-    home, rows_fn, first, cap = _TRIANGLES[args.name]
+    from . import triangles
+    rows_fn, first, cap = _TRIANGLES[args.name]
     if args.rows < 1:
         return _fail(2, "--rows must be at least 1")
     if cap is not None and args.rows > cap:
         return _fail(2, f"--rows is capped at {cap} for {args.name}")
-    rows = islice(rows_fn(import_module(f".{home}", __package__)), args.rows)
+    rows = islice(rows_fn(triangles), args.rows)
     if args.format == "json":
         import json
         yield f'{{"name": {json.dumps(args.name)}, "first_row": {first}, "rows": ['

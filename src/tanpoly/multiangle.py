@@ -78,14 +78,19 @@ def _alternating_sums(n: int, t: Fraction | int) -> tuple[int, int]:
     return s1 - s3, s0 - s2
 
 
+def _pair_value(p: int, q: int) -> TanValue:
+    """The TanValue of the pair (p : q), reduced by one gcd, or the pole when
+    q = 0; each route ends with its own pair here."""
+    if q == 0:
+        return POLE
+    return TanValue(Rational(p, q))
+
+
 def tan_beeler(n: int, t: Fraction | int) -> TanValue:
     """tan(n * arctan(t)) by the alternating binomial ratio."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    num, den = _alternating_sums(n, t)
-    if not den:
-        return POLE
-    return TanValue(Rational(num, den))
+    return _pair_value(*_alternating_sums(n, t))
 
 
 def _addition_pairs(t: Fraction | int) -> Iterator[tuple[int, int]]:
@@ -101,13 +106,6 @@ def _addition_pairs(t: Fraction | int) -> Iterator[tuple[int, int]]:
     while True:
         yield p, q
         p, q = p * b + a * q, q * b - a * p
-
-
-def _pair_value(p: int, q: int) -> TanValue:
-    """The TanValue of the pair (p : q), reduced by one gcd."""
-    if q == 0:
-        return POLE
-    return TanValue(Rational(p, q))
 
 
 def tan_addition_seq(t: Fraction | int) -> Iterator[TanValue]:
@@ -132,9 +130,7 @@ def tan_gaussian(n: int, t: Fraction | int) -> TanValue:
     if n < 0:
         raise ValueError("n must be nonnegative")
     g = GaussianInt(t.denominator, t.numerator) ** n
-    if g.re == 0:
-        return POLE
-    return TanValue(Rational(g.im, g.re))
+    return _pair_value(g.im, g.re)
 
 
 METHODS = {

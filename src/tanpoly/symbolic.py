@@ -12,17 +12,17 @@ polynomial families:
                operator applied to z and to y
 
 Row n of the Rtilde and Ttilde triangles holds the coefficients of R_n and
-T_n at even or odd powers of y; tilde_rows yields both rows of each n.
+T_n at even or odd powers of y; triangles.tilde_rows yields both rows of
+each n, and is the recurrence route of R_n and T_n.
 
 Each iterated route is one lazy sequence, which takes a step only when its
 next item is drawn: dz_seq (apply_dz, which maps each monomial of p to
 those of diff(z * p) directly), hoffman_p_seq/hoffman_q_seq
-(_hoffman_step on parity-stride rows), tilde_rows (the Fibonacci-type
-recurrence of R_n and T_n) and r_poly_dz_seq/t_poly_dz_seq (_dz_step on
-parity-stride rows). dz_iter, hoffman_p/q and r_poly_dz/t_poly_dz return
-item n (n-1 for R and T) of theirs through triangles._item, the one per-n
-lookup, and make only that item a YPoly. The verify suites and the
-triangle command sweep the sequences.
+(_hoffman_step on parity-stride rows) and r_poly_dz_seq/t_poly_dz_seq
+(_dz_step on parity-stride rows). dz_iter, hoffman_p/q and
+r_poly_dz/t_poly_dz return item n (n-1 for R and T) of theirs through
+triangles._item, the one per-n lookup, and make only that item a YPoly.
+The verify suites sweep the sequences.
 
 The operator route to R_n and T_n runs in the quotient ring. Only one part
 of each reduced iterate is nonzero, so it is carried as one row, divided
@@ -51,9 +51,9 @@ row too: _binomial_closed_row makes it and sets its parity, r_poly_closed
 and t_poly_closed wrap it, and the theorem2 suite compares the rows. R_n,
 T_n come three ways that share no code: Horner's rule in w = 1 + y^2 on
 their binomial closed forms (r_poly_closed, t_poly_closed), the operator
-route on rows (r_poly_dz, t_poly_dz) and the recurrence rows.
-All values are immutable, the rows tilde_rows yields included (tuples),
-and functions are pure; nothing here uses floating point.
+route on rows (r_poly_dz, t_poly_dz) and the recurrence rows of
+triangles.tilde_rows. All values are immutable and functions are pure;
+nothing here uses floating point.
 
 Canonical monomial order for iteration, display, and serialization:
 ascending y-exponent, then ascending z-exponent.
@@ -460,39 +460,6 @@ def _binomial_closed_row(n: int, odd: int) -> tuple[list[int], int]:
         if k >= 0:
             acc[-1] += coef(n, k)
     return acc, (n - odd) % 2
-
-
-def tilde_rows() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(Rtilde row n, Ttilde row n) for n = 1, 2, ... by the Fibonacci-type
-    recurrence of R_n and T_n, with w = 1 + y^2:
-
-        X_{n+1} = w * (2y X_n + X_{n-1})   if n % 2 == odd,
-        X_{n+1} = 2y X_n + w X_{n-1}       otherwise,
-
-    where R takes odd = 1 from (R_1, R_2) = (1, 2y + 2y^3) and T takes
-    odd = 0 from (T_1, T_2) = (y, 1 + 2y^2). Row n of Rtilde holds R_n for
-    odd n and T_n for even n, Ttilde the other one, so at every n the first
-    rule makes Ttilde and the second Rtilde:
-
-        Rtilde_{n+1} = 2y Ttilde_n + w Rtilde_{n-1}
-        Ttilde_{n+1} = w * (2y Rtilde_n + Ttilde_{n-1})
-
-    On the rows, y times a Ttilde row (odd powers) is a 0 put in front, y
-    times an Rtilde row (even powers) is the same tuple, and w times a tuple
-    is one shift-add. Row n has n entries, so the shorter tuple is padded
-    before each elementwise add. Rtilde rows are the coefficients of y^0,
-    y^2, ..., y^(2n-2) and rows 1..5 reproduce A056242; Ttilde rows those of
-    y^1, y^3, ..., y^(2n-1) and rows 1..5 reproduce A210753.
-    """
-    r_prev, t_prev, r, t = (1,), (1,), (1, 2), (2, 2)
-    yield r_prev, t_prev
-    while True:
-        yield r, t
-        w_r_prev = map(operator.add, (*r_prev, 0), (0, *r_prev))
-        sum_t = tuple(map(operator.add, map(operator.add, r, r), (*t_prev, 0)))
-        r_prev, t_prev = r, t
-        r = tuple(map(operator.add, (0, *map(operator.add, t, t)), (*w_r_prev, 0)))
-        t = tuple(map(operator.add, (*sum_t, 0), (0, *sum_t)))
 
 
 def _dz_step(row: list[int], e: int, n: int) -> list[int]:

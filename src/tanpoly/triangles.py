@@ -12,9 +12,10 @@ are the lazy sequences m_row_seq and n_row_seq of tuples, which m_row/n_row
 read and the corollary suite and triangle command sweep. _item is the one
 per-n lookup into a sequence; symbolic reads its own through it too. The
 two reduced families Rtilde and Ttilde (A056242 and A210753) collect the
-coefficients of the reduced polynomial families, so their rows live in the
-symbolic module, which builds on this one; this module imports nothing
-from the package.
+coefficients of the reduced polynomial families; tilde_rows makes their rows
+by the Fibonacci-type recurrence, as tuples, and the theorem2 and tables
+suites and the triangle command sweep it. This module imports nothing from
+the package.
 
 Every per-entry accessor returns 0 outside its family's index range, which
 makes the recurrences total. Nothing is cached.
@@ -23,6 +24,7 @@ makes the recurrences total. Nothing is cached.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import count, islice
 from typing import Iterator
 
@@ -78,6 +80,39 @@ def m_row_seq() -> Iterator[tuple[int, ...]]:
 def n_row_seq() -> Iterator[tuple[int, ...]]:
     """Rows 0, 1, ... of the N triangle by recurrence."""
     return _mn_row_seq(1)
+
+
+def tilde_rows() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(Rtilde row n, Ttilde row n) for n = 1, 2, ... by the Fibonacci-type
+    recurrence of R_n and T_n, with w = 1 + y^2:
+
+        X_{n+1} = w * (2y X_n + X_{n-1})   if n % 2 == odd,
+        X_{n+1} = 2y X_n + w X_{n-1}       otherwise,
+
+    where R takes odd = 1 from (R_1, R_2) = (1, 2y + 2y^3) and T takes
+    odd = 0 from (T_1, T_2) = (y, 1 + 2y^2). Row n of Rtilde holds R_n for
+    odd n and T_n for even n, Ttilde the other one, so at every n the first
+    rule makes Ttilde and the second Rtilde:
+
+        Rtilde_{n+1} = 2y Ttilde_n + w Rtilde_{n-1}
+        Ttilde_{n+1} = w * (2y Rtilde_n + Ttilde_{n-1})
+
+    On the rows, y times a Ttilde row (odd powers) is a 0 put in front, y
+    times an Rtilde row (even powers) is the same tuple, and w times a tuple
+    is one shift-add. Row n has n entries, so the shorter tuple is padded
+    before each elementwise add. Rtilde rows are the coefficients of y^0,
+    y^2, ..., y^(2n-2) and rows 1..5 reproduce A056242; Ttilde rows those of
+    y^1, y^3, ..., y^(2n-1) and rows 1..5 reproduce A210753.
+    """
+    r_prev, t_prev, r, t = (1,), (1,), (1, 2), (2, 2)
+    yield r_prev, t_prev
+    while True:
+        yield r, t
+        w_r_prev = map(operator.add, (*r_prev, 0), (0, *r_prev))
+        sum_t = tuple(map(operator.add, map(operator.add, r, r), (*t_prev, 0)))
+        r_prev, t_prev = r, t
+        r = tuple(map(operator.add, (0, *map(operator.add, t, t)), (*w_r_prev, 0)))
+        t = tuple(map(operator.add, (*sum_t, 0), (0, *sum_t)))
 
 
 def _item(seq: Iterator, n: int):

@@ -27,8 +27,8 @@ from typing import Callable, Mapping, NamedTuple
 
 from .multiangle import DEFAULT_GRID, tan_addition_seq, tan_beeler, tan_gaussian
 from .symbolic import ReducedPair, YPoly, YZPoly, diff, dz_seq, hoffman_p_seq, hoffman_q_seq, reduce_z
-from .symbolic import _binomial_closed_row, _dz_rows, _stride_poly, tilde_rows
-from .triangles import _mn_closed_row, m_row_seq, n_row_seq, r_coef, t_coef
+from .symbolic import _binomial_closed_row, _dz_rows, _stride_poly
+from .triangles import _mn_closed_row, m_row_seq, n_row_seq, r_coef, t_coef, tilde_rows
 
 RTILDE_GOLDEN: tuple[tuple[int, ...], ...] = (
     (1,),

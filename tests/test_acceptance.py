@@ -30,7 +30,6 @@ from tanpoly.symbolic import (
     reduced_diff,
     t_poly_closed,
     t_poly_dz,
-    tilde_rows,
 )
 from tanpoly.triangles import (
     binom,
@@ -44,6 +43,7 @@ from tanpoly.triangles import (
     r_row,
     t_coef,
     t_row,
+    tilde_rows,
 )
 
 GOLDEN_RTILDE = [[1], [1, 2], [1, 5, 4], [1, 9, 16, 8], [1, 14, 41, 44, 16]]

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 from tanpoly import cli, multiangle, symbolic, triangles, verify
 from tanpoly.exact import Rational
 from tanpoly.multiangle import TanValue
-from tanpoly.symbolic import YPoly, tilde_rows
-from tanpoly.triangles import m_row, n_row, r_row, t_row
+from tanpoly.symbolic import YPoly
+from tanpoly.triangles import m_row, n_row, r_row, t_row, tilde_rows
 from tanpoly.verify import VerifyReport
 
 

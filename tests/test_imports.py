@@ -71,20 +71,24 @@ def test_bare_import_loads_no_module():
 
 
 TAN_LAYERS = {"tanpoly.cli", "tanpoly.exact", "tanpoly.multiangle", "fractions", "decimal"}
-TRIANGLE_LAYERS = {"tanpoly.cli", "tanpoly.symbolic", "tanpoly.triangles"}
-ALL_LAYERS = TAN_LAYERS | TRIANGLE_LAYERS | {"tanpoly.verify"}
+TRIANGLE_LAYERS = {"tanpoly.cli", "tanpoly.triangles"}
+POLY_LAYERS = TRIANGLE_LAYERS | {"tanpoly.symbolic"}
+ALL_LAYERS = TAN_LAYERS | POLY_LAYERS | {"tanpoly.verify"}
 
 # command line -> the tanpoly modules, json, fractions and decimal it loads
 LOADED_BY = {
     "--help": {"tanpoly.cli"},
     "tan --n 3 --t 1": TAN_LAYERS,
     "tan --n 3 --t 1/2 --method gaussian": TAN_LAYERS,
-    "poly --family P --n 5": TRIANGLE_LAYERS,
-    "poly --family R --n 5 --format csv": TRIANGLE_LAYERS,
-    "poly --family Q --n 5 --format json": TRIANGLE_LAYERS,
-    "triangle --name R --rows 3": {"tanpoly.cli", "tanpoly.triangles"},
+    "poly --family P --n 5": POLY_LAYERS,
+    "poly --family R --n 5 --format csv": POLY_LAYERS,
+    "poly --family Q --n 5 --format json": POLY_LAYERS,
+    "triangle --name R --rows 3": TRIANGLE_LAYERS,
+    "triangle --name Rtilde --rows 3": TRIANGLE_LAYERS,
+    "triangle --name Ttilde --rows 3": TRIANGLE_LAYERS,
     "triangle --name Rtilde --rows 3 --format bfile": TRIANGLE_LAYERS,
-    "triangle --name M --rows 3 --format json": {"tanpoly.cli", "tanpoly.triangles", "json"},
+    "triangle --name Ttilde --rows 3 --format json": TRIANGLE_LAYERS | {"json"},
+    "triangle --name M --rows 3 --format json": TRIANGLE_LAYERS | {"json"},
     "verify --suite tables --max-n 3": ALL_LAYERS,
     "verify --suite tables --max-n 3 --json": ALL_LAYERS | {"json"},
 }
@@ -142,9 +146,10 @@ HOMES = {
     "symbolic": [
         "InternalInconsistencyError", "ReducedPair", "YPoly", "YZPoly", "apply_dz", "diff", "dz_iter", "hoffman_p",
         "hoffman_q", "r_poly_closed", "r_poly_dz", "reduce_z", "reduced_diff", "t_poly_closed", "t_poly_dz",
-        "tilde_rows",
     ],
-    "triangles": ["binom", "m_closed", "m_row", "n_closed", "n_row", "r_coef", "r_row", "t_coef", "t_row"],
+    "triangles": [
+        "binom", "m_closed", "m_row", "n_closed", "n_row", "r_coef", "r_row", "t_coef", "t_row", "tilde_rows",
+    ],
     "verify": [
         "RTILDE_GOLDEN", "TTILDE_GOLDEN", "VerifyReport", "run_all", "run_suite", "verify_closed_forms",
         "verify_hoffman", "verify_operator_expansion", "verify_rec_vs_closed", "verify_rt_recurrences",
@@ -244,3 +249,9 @@ def test_split_helpers_are_gone():
     # cli._fail writes every error line; symbolic._dz_step steps, checks and divides
     assert not hasattr(tanpoly.cli, "_usage_error")
     assert not hasattr(tanpoly.symbolic, "_extract_scaled")
+
+
+def test_triangle_rows_live_in_triangles():
+    # cli reads all six triangles through triangles; symbolic keeps no second path
+    assert not hasattr(tanpoly.symbolic, "tilde_rows")
+    assert not hasattr(tanpoly.cli, "import_module")

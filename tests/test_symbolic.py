@@ -49,8 +49,8 @@ from tanpoly.symbolic import (
     t_poly_closed,
     t_poly_dz,
     t_poly_dz_seq,
-    tilde_rows,
 )
+from tanpoly.triangles import tilde_rows
 from tanpoly.verify import verify_closed_forms, verify_hoffman, verify_operator_expansion
 
 X = sympy.Symbol("x")

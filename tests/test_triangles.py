@@ -13,7 +13,6 @@ from operator import itemgetter
 import pytest
 
 from tanpoly import symbolic
-from tanpoly.symbolic import tilde_rows
 from tanpoly.triangles import (
     _mn_closed_row,
     binom,
@@ -27,6 +26,7 @@ from tanpoly.triangles import (
     r_row,
     t_coef,
     t_row,
+    tilde_rows,
 )
 from tanpoly.verify import verify_rec_vs_closed, verify_rt_recurrences
 

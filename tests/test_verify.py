@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from tanpoly import cli, symbolic, verify
+from tanpoly import cli, symbolic, triangles, verify
 from tanpoly.exact import Rational
 from tanpoly.multiangle import DEFAULT_GRID, TanValue
 from tanpoly.verify import (
@@ -337,7 +337,7 @@ class TestFailureRecords:
 
 class TestOneRoutePerFamily:
     """The suites sweep the sequences behind the per-n functions, so one wrong
-    step in symbolic shows in both; a suite that stepped its own copy would pass."""
+    step in symbolic or triangles shows in both; a suite that stepped its own copy would pass."""
 
     def test_hoffman_and_poly_p_share_the_row_step(self, monkeypatch, capsys):
         module, name, patch, _, record = FAULTS["hoffman"]
@@ -348,11 +348,11 @@ class TestOneRoutePerFamily:
 
     def test_theorem2_and_triangle_share_the_tilde_rows(self, monkeypatch, capsys):
         # Rtilde row 4 is T_4 = 1 + 9y^2 + 16y^4 + 8y^6; the y^4 entry is spoiled
-        # where the recurrence yields it. verify holds the function symbolic
+        # where the recurrence yields it. verify holds the function triangles
         # defines, so both references are patched with the one spoiled sequence.
-        assert verify.tilde_rows is symbolic.tilde_rows
-        spoiled = spoil_rtilde(4, 2)(symbolic.tilde_rows)
-        monkeypatch.setattr(symbolic, "tilde_rows", spoiled)
+        assert verify.tilde_rows is triangles.tilde_rows
+        spoiled = spoil_rtilde(4, 2)(triangles.tilde_rows)
+        monkeypatch.setattr(triangles, "tilde_rows", spoiled)
         monkeypatch.setattr(verify, "tilde_rows", spoiled)
         assert cli.main(["triangle", "--name", "Rtilde", "--rows", "5", "--format", "csv"]) == 0
         assert capsys.readouterr().out == "1\n1,2\n1,5,4\n1,9,17,8\n1,14,41,44,16\n"
