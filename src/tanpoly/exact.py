@@ -42,13 +42,27 @@ class Rational(Fraction):
 
 
 class GaussianInt:
-    """Exact complex integer re + im*i with ring operations and powers."""
+    """Exact complex integer re + im*i with ring operations and powers.
+
+    Immutable, so it can be hashed: setting or deleting an attribute after
+    construction raises AttributeError.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: int, im: int = 0):
-        self.re = re
-        self.im = im
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"GaussianInt is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"GaussianInt is immutable: cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple[type[GaussianInt], tuple[int, int]]:
+        # copy and pickle rebuild through __init__, not by setting the slots
+        return GaussianInt, (self.re, self.im)
 
     def __add__(self, other: GaussianInt) -> GaussianInt:
         if not isinstance(other, GaussianInt):

@@ -188,6 +188,24 @@ class TestPolyCommand:
         assert digit_limit() == limit
         assert out.splitlines()[-1] == f"2001,{full_str(math.factorial(2000))}"
 
+    @pytest.mark.parametrize(
+        "fmt, render",
+        [
+            ("table", str),
+            ("csv", lambda poly: "\n".join(f"{a},{c}" for a, c in poly.terms())),
+            ("json", lambda poly: json.dumps([[a, str(c)] for a, c in poly.terms()])),
+        ],
+        ids=["table", "csv", "json"],
+    )
+    def test_p_streams_the_whole_rendering(self, capsys, fmt, render):
+        # P_1000's largest coefficients have over 2,500 digits, so poly converts
+        # them by halves; written term by term, the text must equal the whole one
+        code, out, _ = run_cli(capsys, "poly", "--family", "P", "--n", "1000", "--format", fmt)
+        assert code == 0
+        want = render(symbolic.hoffman_p(1000)) + "\n"
+        same = out == want  # asserted by name: pytest's diff of two texts this long takes minutes
+        assert same, f"differs from character {len(os.path.commonprefix([out, want]))}"
+
     def test_bfile_not_a_poly_format(self, capsys):
         code, _, _ = run_cli(capsys, "poly", "--family", "R", "--n", "2", "--format", "bfile")
         assert code == 2
@@ -306,6 +324,13 @@ class TestHarness:
 
     def test_help_exits_0(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+    def test_console_script_is_cli_main(self, capsys):
+        tomllib = pytest.importorskip("tomllib")  # new in 3.11
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+        assert project["scripts"] == {"tanpoly": "tanpoly.cli:main"}
+        assert cli.main(["--help"]) == 0
+        assert capsys.readouterr().out == cli.build_parser().format_help()
 
     @pytest.mark.parametrize(
         "argv",
@@ -619,6 +644,7 @@ class TestWriteFailures:
             ("--help",),
             ("verify", "--help"),
             ("poly", "--family", "P", "--n", "1500", "--format", "json"),
+            ("verify", "--suite", "all", "--max-n", "30"),
         ],
     )
     def test_full_device_exits_74(self, argv):

@@ -7,6 +7,8 @@ Gaussian powers are checked against a plain repeated-multiplication loop.
 
 from __future__ import annotations
 
+import copy
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -125,3 +127,17 @@ class TestGaussianInt:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
+
+    def test_immutable_and_hash_stable(self):
+        g = GaussianInt(1, 2)
+        seen = {g}
+        for name in ("re", "im", "other"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, 5)
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+        assert (g.re, g.im) == (1, 2)
+        assert g in seen and hash(g) == hash(GaussianInt(1, 2))
+        assert copy.copy(g) == copy.deepcopy(g) == pickle.loads(pickle.dumps(g)) == g
+        assert repr(g) == "GaussianInt(1, 2)"
+        assert g != (1, 2)

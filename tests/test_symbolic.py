@@ -321,6 +321,12 @@ class TestWeightedOperator:
     def test_monomial_map_is_diff_of_z_times_p(self, p):
         assert apply_dz(p) == diff(YZPoly.z() * p)
 
+    def test_iterates_are_diff_of_z_times_p(self):
+        # the drawn polynomials above are small; the iterates reach degree 31
+        for n, p, q in zip(range(31), dz_seq(YZPoly.z()), dz_seq(YZPoly.y())):
+            assert apply_dz(p) == diff(YZPoly.z() * p), n
+            assert apply_dz(q) == diff(YZPoly.z() * q), n
+
     def test_iteration(self):
         assert dz_iter(0, YZPoly.z()) == YZPoly.z()
         assert dz_iter(1, YZPoly.y()) == YZPoly({(2, 1): 1, (0, 3): 1})
@@ -416,7 +422,7 @@ class TestHoffmanFamilies:
             tracemalloc.stop()
         assert peak < 2.5 * sum(sys.getsizeof(c) for _, c in poly.terms())
 
-    @pytest.mark.parametrize("n", range(16))
+    @pytest.mark.parametrize("n", range(21))
     def test_reduction_of_plain_derivatives(self, n):
         dy = YZPoly.y()
         dz = YZPoly.z()
@@ -472,7 +478,7 @@ class TestRTFamilies:
                 fn(0)
 
     def test_both_routes_agree(self):
-        for n in range(1, 16):
+        for n in (*range(1, 16), 40):
             assert r_poly_closed(n) == r_poly_dz(n)
             assert t_poly_closed(n) == t_poly_dz(n)
 
