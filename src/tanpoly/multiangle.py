@@ -18,9 +18,8 @@ cleanly, and powers of the Gaussian integer q + p*i for t = p/q, whose
 real and imaginary parts are exactly the alternating sums above scaled by
 q^n. A pole is a value, not an error: it occurs exactly when the
 denominator sum vanishes. For n = 0 the numerator sum is empty and the
-result is 0. The pairs of one t form a lazy sequence: tan_addition_seq
-reduces each to a value, for a sweep over n, and tan_addition(n, t)
-reduces only item n.
+result is 0. The pairs of one t form a lazy sequence, _addition_pairs,
+which the beeler suite sweeps; tan_addition(n, t) reduces only item n.
 
 Every route takes t as any fractions.Fraction or int (Rational arithmetic
 returns plain Fractions) and reads only its numerator and denominator.
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice, starmap
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .exact import GaussianInt, Rational
@@ -108,14 +107,9 @@ def _addition_pairs(t: Fraction | int) -> Iterator[tuple[int, int]]:
         p, q = p * b + a * q, q * b - a * p
 
 
-def tan_addition_seq(t: Fraction | int) -> Iterator[TanValue]:
-    """tan(n * arctan(t)) for n = 0, 1, ... by iterated angle addition."""
-    return starmap(_pair_value, _addition_pairs(t))
-
-
 def tan_addition(n: int, t: Fraction | int) -> TanValue:
     """tan(n * arctan(t)) by iterating the tangent angle-addition formula,
-    item n of tan_addition_seq: the pair is reduced once, after the last step."""
+    item n of _addition_pairs: the pair is reduced once, after the last step."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     return _pair_value(*next(islice(_addition_pairs(t), n, None)))

@@ -9,10 +9,12 @@ hoffman itself. Each reference value is read once: rt-recurrences carries
 the binomial row n + 1 of step n to step n + 1, and corollary and
 dz-expansion make one closed M and N row per n. Reports are plain data;
 output formats, rendering and exit-code policy live in the cli module.
-rt-recurrences, corollary and theorem2 compare whole rows; only a row that
-differs goes entry by entry through _Tally.check, which builds failure
-records that keep every value as an exact decimal string (a row is written
-as a list, [1, 5, 4]), so reports serialize without floating point.
+rt-recurrences, corollary and theorem2 compare whole rows, dz-expansion
+the iterates' coefficient dicts and beeler each route's unreduced integer
+pair; only a row or point that differs goes through _Tally.check, which
+builds failure records that keep every value as an exact decimal string (a
+row is written as a list, [1, 5, 4]), so reports serialize without
+floating point.
 
 The embedded rows are the first five rows of A056242 (k-part
 order-consecutive partition counts) and of A210753. They are test data,
@@ -25,7 +27,8 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, NamedTuple
 
-from .multiangle import DEFAULT_GRID, tan_addition_seq, tan_beeler, tan_gaussian
+from .exact import GaussianInt
+from .multiangle import DEFAULT_GRID, _addition_pairs, _alternating_sums, _pair_value
 from .symbolic import ReducedPair, YPoly, YZPoly, diff, dz_seq, hoffman_p_seq, hoffman_q_seq, reduce_z
 from .symbolic import _binomial_closed_row, _dz_rows, _stride_poly
 from .triangles import _mn_closed_row, m_row_seq, n_row_seq, r_coef, t_coef, tilde_rows
@@ -144,6 +147,12 @@ def verify_rec_vs_closed(max_n: int) -> VerifyReport:
     return tally.report()
 
 
+def _mn_terms(n: int, s: int) -> dict[tuple[int, int], int]:
+    """The closed row n of M (s = 0) or N (s = 1) as YZPoly coefficients:
+    entry k at y^(n-2k+s) z^(n+2k+1-s)."""
+    return {(n - 2 * k + s, n + 2 * k + 1 - s): c for k, c in enumerate(_mn_closed_row(n, s))}
+
+
 def verify_operator_expansion(max_n: int) -> VerifyReport:
     """Check the iterates on z and y monomial-by-monomial against M and N.
 
@@ -151,15 +160,19 @@ def verify_operator_expansion(max_n: int) -> VerifyReport:
     y^(n-2k) z^(n+2k+1) with coefficient M(n, k), and the iterate on y of
     y^(n-2k+1) z^(n+2k) with coefficient N(n, k); nothing else may appear.
     The coefficients are one closed row (_mn_closed_row) per family and n.
+    Each iterate's coefficient dict is compared with the closed row's; the
+    sorted term lists, and the M and N records, are made only at an n where
+    one differs.
     """
     tally = _Tally("dz-expansion", max_n, 0)
     for n, p, q in zip(range(max_n + 1), dz_seq(YZPoly.z()), dz_seq(YZPoly.y())):
-        got = p.terms()
-        want = sorted(((n - 2 * k, n + 2 * k + 1), c) for k, c in enumerate(_mn_closed_row(n, 0)))
-        tally.check(got == want, family="M", n=n, got=got, want=want)
-        got = q.terms()
-        want = sorted(((n - 2 * k + 1, n + 2 * k), c) for k, c in enumerate(_mn_closed_row(n, 1)))
-        tally.check(got == want, family="N", n=n, got=got, want=want)
+        m_terms, n_terms = _mn_terms(n, 0), _mn_terms(n, 1)
+        if p._coef == m_terms and q._coef == n_terms:
+            tally.checked += 2
+            continue
+        for family, poly, terms in (("M", p, m_terms), ("N", q, n_terms)):
+            got, want = poly.terms(), sorted(terms.items())
+            tally.check(got == want, family=family, n=n, got=got, want=want)
     return tally.report()
 
 
@@ -231,17 +244,28 @@ def verify_triple_agreement(max_n: int) -> VerifyReport:
     """Evaluate all three routes over 0 <= n <= max_n on the grid.
 
     Agreement is exact equality of TanValue, poles included. Points are
-    visited in a fixed (n, t) order so the report is deterministic. The
-    addition route is one tan_addition_seq per grid point, advanced once
-    per n.
+    visited in a fixed (n, t) order so the report is deterministic. Each
+    route stops at its unreduced pair (p : q): the binomial sums
+    (_alternating_sums), one _addition_pairs sequence per grid point,
+    advanced once per n, and the n-th power of one GaussianInt b + a*i per
+    grid point t = a/b. A point passes when no pair is (0, 0) and the pairs
+    are proportional, p1*q2 == p2*q1 and p1*q3 == p3*q1; (0, 0), which
+    _pair_value reads as the pole, is proportional to every pair. Only a
+    point that does not pass makes the three TanValues and goes through
+    _Tally.check, which compares them.
     """
     tally = _Tally("beeler", max_n, 0)
-    additions = [tan_addition_seq(t) for t in DEFAULT_GRID]
+    points = [(t, _addition_pairs(t), GaussianInt(t.denominator, t.numerator)) for t in DEFAULT_GRID]
     for n in range(max_n + 1):
-        for t, addition in zip(DEFAULT_GRID, additions):
-            by_ratio = tan_beeler(n, t)
-            by_addition = next(addition)
-            by_gaussian = tan_gaussian(n, t)
+        for t, additions, base in points:
+            p1, q1 = _alternating_sums(n, t)
+            p2, q2 = next(additions)
+            g = base**n
+            p3, q3 = g.im, g.re
+            if (p1 or q1) and (p2 or q2) and (p3 or q3) and p1 * q2 == p2 * q1 and p1 * q3 == p3 * q1:
+                tally.checked += 1
+                continue
+            by_ratio, by_addition, by_gaussian = _pair_value(p1, q1), _pair_value(p2, q2), _pair_value(p3, q3)
             agree = by_ratio == by_addition == by_gaussian
             tally.check(agree, n=n, t=t, beeler=by_ratio, addition=by_addition, gaussian=by_gaussian)
     return tally.report()

@@ -8,8 +8,8 @@ from collections import Counter
 import pytest
 
 from tanpoly import cli, symbolic, triangles, verify
-from tanpoly.exact import Rational
-from tanpoly.multiangle import DEFAULT_GRID, TanValue
+from tanpoly.exact import GaussianInt, Rational
+from tanpoly.multiangle import DEFAULT_GRID
 from tanpoly.verify import (
     RTILDE_GOLDEN,
     SUITE_NAMES,
@@ -202,6 +202,21 @@ def spoil_item(at, n, value):
     return patch
 
 
+def spoil_power(base, n, value):
+    """A patch for the GaussianInt class: the power n of base, an (re, im) pair, is value."""
+
+    def patch(real):
+        class Spoiled(real):
+            __slots__ = ()
+
+            def __pow__(self, k):
+                return value if ((self.re, self.im), k) == (base, n) else super().__pow__(k)
+
+        return Spoiled
+
+    return patch
+
+
 # suite: (module and name of the function spoiled, the patch, checked at
 # max_n = 7, the one failure record expected, keys in order). The
 # dz-expansion entry spoils M(3, 1) in the closed M row of n = 3. The hoffman
@@ -249,7 +264,7 @@ FAULTS = {
         {"family": "Rtilde", "n": "3", "got": "[1, 5, 5]", "want": "[1, 5, 4]"},
     ),
     "beeler": (
-        verify, "tan_addition_seq", spoil_item(Rational(1, 2), 2, TanValue(Rational(0))), 104,
+        verify, "_addition_pairs", spoil_item(Rational(1, 2), 2, (0, 1)), 104,
         {"n": "2", "t": "1/2", "beeler": "4/3", "addition": "0", "gaussian": "4/3"},
     ),
 }
@@ -257,9 +272,12 @@ FAULTS = {
 
 # suite: (the functions spoiled, as (module, name, patch), and the failure
 # records expected at max_n = 7, in order), for the suites that compare whole
-# rows and build records only for a row that differs. rt-recurrences has R
-# and T wrong at two k of one n, corollary two entries of one M row, and
-# theorem2 both closed forms wrong at one n, which spoils all four records.
+# rows or pairs and build records only for a row or point that differs.
+# rt-recurrences has R and T wrong at two k of one n, corollary two entries of
+# one M row, dz-expansion one entry of the closed M and N rows of one n,
+# theorem2 both closed forms wrong at one n, which spoils all four records,
+# and beeler the Gaussian power at one point and the addition pair at an
+# earlier one.
 MULTI_FAULTS = {
     "rt-recurrences": (
         [(verify, "r_coef", spoil_coef((8, 1), (8, 3))), (verify, "t_coef", spoil_coef((8, 1), (8, 3)))],
@@ -277,6 +295,26 @@ MULTI_FAULTS = {
             {"family": "M", "n": "5", "k": "2", "rec": "721", "closed": "720"},
         ],
     ),
+    "dz-expansion": (
+        [
+            (verify, "_mn_closed_row", inject((4, 0), lambda row: bump(row, 2))),
+            (verify, "_mn_closed_row", inject((4, 1), lambda row: bump(row, 0))),
+        ],
+        [
+            {
+                "family": "M",
+                "n": "4",
+                "got": "[((0, 9), 24), ((2, 7), 240), ((4, 5), 120)]",
+                "want": "[((0, 9), 25), ((2, 7), 240), ((4, 5), 120)]",
+            },
+            {
+                "family": "N",
+                "n": "4",
+                "got": "[((1, 8), 120), ((3, 6), 240), ((5, 4), 24)]",
+                "want": "[((1, 8), 120), ((3, 6), 240), ((5, 4), 25)]",
+            },
+        ],
+    ),
     "theorem2": (
         [(symbolic, "r_coef", spoil_coef((4, 1))), (symbolic, "t_coef", spoil_coef((4, 1)))],
         [
@@ -284,6 +322,16 @@ MULTI_FAULTS = {
             {"family": "T", "n": "4", "closed": "1 + 10y^2 + 18y^4 + 9y^6", "operator": "1 + 9y^2 + 16y^4 + 8y^6"},
             {"family": "Rtilde", "n": "4", "closed": "[1, 10, 18, 9]", "recurrence": "[1, 9, 16, 8]"},
             {"family": "Ttilde", "n": "4", "closed": "[5, 19, 23, 9]", "recurrence": "[4, 16, 20, 8]"},
+        ],
+    ),
+    "beeler": (
+        [
+            (verify, "GaussianInt", spoil_power((2, 7), 5, GaussianInt(0, 1))),
+            (verify, "_addition_pairs", spoil_item(Rational(-1, 3), 3, (3, 4))),
+        ],
+        [
+            {"n": "3", "t": "-1/3", "beeler": "-13/9", "addition": "3/4", "gaussian": "-13/9"},
+            {"n": "5", "t": "7/2", "beeler": "3647/20122", "addition": "3647/20122", "gaussian": "pole"},
         ],
     ),
 }
@@ -320,6 +368,25 @@ class TestFailureRecords:
         assert report.checked == FAULTS[suite][3]
         assert [list(f.items()) for f in report.failures] == [list(r.items()) for r in records]
         assert json_failures(suite, capsys) == [list(r.items()) for r in records]
+
+    @pytest.mark.parametrize(
+        "route, name, patch",
+        [
+            ("beeler", "_alternating_sums", inject((2, Rational(1, 2)), lambda pair: (0, 0))),
+            ("addition", "_addition_pairs", spoil_item(Rational(1, 2), 2, (0, 0))),
+            ("gaussian", "GaussianInt", spoil_power((2, 1), 2, GaussianInt(0, 0))),
+        ],
+        ids=["beeler", "addition", "gaussian"],
+    )
+    def test_beeler_zero_pair_is_the_pole(self, monkeypatch, capsys, route, name, patch):
+        # (0, 0) is proportional to every pair, yet _pair_value reads it as the
+        # pole, so one route's (0, 0) at n = 2, t = 1/2 must fail against 4/3.
+        monkeypatch.setattr(verify, name, patch(getattr(verify, name)))
+        record = {"n": "2", "t": "1/2", "beeler": "4/3", "addition": "4/3", "gaussian": "4/3", route: "pole"}
+        report = run_suite("beeler", 7)
+        assert report.checked == FAULTS["beeler"][3]
+        assert [list(f.items()) for f in report.failures] == [list(record.items())]
+        assert json_failures("beeler", capsys) == [list(record.items())]
 
     @pytest.mark.parametrize("length", [2, 4], ids=["short", "long"])
     def test_corollary_row_of_wrong_length_raises(self, monkeypatch, length):
@@ -430,19 +497,19 @@ class TestLinearWork:
 
     @pytest.mark.parametrize("m", [7, 30])
     def test_beeler_addition_sequences(self, monkeypatch, m):
-        # one sequence per grid point, one item drawn per n
+        # one pair sequence per grid point, one pair drawn per n
         drawn = Counter()
-        real = verify.tan_addition_seq
+        real = verify._addition_pairs
 
         def counted(t):
             drawn["sweeps"] += 1
-            for value in real(t):
-                drawn["items"] += 1
-                yield value
+            for pair in real(t):
+                drawn["pairs"] += 1
+                yield pair
 
-        monkeypatch.setattr(verify, "tan_addition_seq", counted)
+        monkeypatch.setattr(verify, "_addition_pairs", counted)
         assert verify.verify_triple_agreement(m).passed
-        assert drawn == {"sweeps": len(DEFAULT_GRID), "items": len(DEFAULT_GRID) * (m + 1)}
+        assert drawn == {"sweeps": len(DEFAULT_GRID), "pairs": len(DEFAULT_GRID) * (m + 1)}
 
     @pytest.fixture
     def closed_rows(self, monkeypatch):
@@ -492,13 +559,15 @@ class TestLinearWork:
         assert drawn == {"m_row_seq": m + 1, "n_row_seq": m + 1}
 
 
-    @pytest.mark.parametrize("suite", ["rt-recurrences", "corollary", "theorem2"])
+    @pytest.mark.parametrize("suite", ["rt-recurrences", "corollary", "dz-expansion", "theorem2", "beeler"])
     @pytest.mark.parametrize("m", [7, 30])
     def test_passing_rows_take_one_comparison(self, monkeypatch, suite, m):
-        # A row that passes is one comparison: no entry goes through
-        # _Tally.check and theorem2 makes no YPoly, yet every entry is counted.
+        # A row or point that passes is one comparison: nothing goes through
+        # _Tally.check, theorem2 makes no YPoly, dz-expansion sorts no terms
+        # and beeler makes no TanValue, yet every comparison is counted.
         calls = Counter()
-        for owner, name in ((verify._Tally, "check"), (symbolic, "_stride_poly"), (verify, "_stride_poly")):
+        spied = ((verify._Tally, "check"), (symbolic, "_stride_poly"), (verify, "_stride_poly"))
+        for owner, name in (*spied, (verify, "_pair_value"), (symbolic.YZPoly, "terms")):
 
             def counted(*args, name=name, real=getattr(owner, name), **fields):
                 calls[name] += 1
@@ -508,7 +577,9 @@ class TestLinearWork:
         checked = {
             "rt-recurrences": sum(2 * ((n + 1) // 2 + 2) for n in range(1, m + 1)),
             "corollary": sum(n // 2 + 1 + (n + 1) // 2 + 1 for n in range(m + 1)),
+            "dz-expansion": 2 * (m + 1),
             "theorem2": 4 * m,
+            "beeler": len(DEFAULT_GRID) * (m + 1),
         }
         report = run_suite(suite, m)
         assert report.passed and report.checked == checked[suite]
