@@ -10,9 +10,9 @@ A command imports its layers when it runs and looks their functions up
 through the module, so parsing and --help load none. tan loads exact and
 multiangle; poly loads symbolic, with triangles under it; triangle loads
 triangles alone, which makes the rows of all six; verify loads all five;
-json is loaded only for triangle --format json and verify --json. The
---method and --suite choices are literals, in the order of
-sorted(multiangle.METHODS) and verify.SUITE_NAMES.
+json is loaded only for verify --json. The --method and --suite choices
+are literals, in the order of sorted(multiangle.METHODS) and
+verify.SUITE_NAMES.
 
 Exit codes: 0 success or all checks pass, 1 verification disagreement, 2
 usage error, 74 output not written, 141 broken pipe (silent, as with
@@ -80,11 +80,10 @@ def _cmd_triangle(args: argparse.Namespace) -> Generator[str, None, int]:
     if cap is not None and args.rows > cap:
         return _fail(2, f"--rows is capped at {cap} for {args.name}")
     rows = islice(rows_fn(triangles), args.rows)
-    if args.format == "json":
-        import json
-        yield f'{{"name": {json.dumps(args.name)}, "first_row": {first}, "rows": ['
+    if args.format == "json":  # json.dumps text: the name is an ASCII choice and each value an int string
+        yield f'{{"name": "{args.name}", "first_row": {first}, "rows": ['
         for i, row in enumerate(rows):
-            yield (", " if i else "") + json.dumps([str(v) for v in row])
+            yield (", " if i else "") + "[" + ", ".join(f'"{v}"' for v in row) + "]"
         yield "]}\n"
     elif args.format == "bfile":
         index = count(1)  # zip(row, index): zip(index, row) skips one at each row end

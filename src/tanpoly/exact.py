@@ -42,7 +42,7 @@ class Rational(Fraction):
 
 
 class GaussianInt:
-    """Exact complex integer re + im*i with ring operations and powers.
+    """Exact complex integer re + im*i with +, *, ** by an int >= 0 and ==.
 
     Immutable, so it can be hashed: setting or deleting an attribute after
     construction raises AttributeError.
@@ -68,14 +68,6 @@ class GaussianInt:
         if not isinstance(other, GaussianInt):
             return NotImplemented
         return GaussianInt(self.re + other.re, self.im + other.im)
-
-    def __neg__(self) -> GaussianInt:
-        return GaussianInt(-self.re, -self.im)
-
-    def __sub__(self, other: GaussianInt) -> GaussianInt:
-        if not isinstance(other, GaussianInt):
-            return NotImplemented
-        return GaussianInt(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: GaussianInt) -> GaussianInt:
         if not isinstance(other, GaussianInt):

@@ -202,27 +202,23 @@ def verify_closed_forms(max_n: int) -> VerifyReport:
     The operator route is the (row, parity) pairs of _dz_rows and the
     recurrence is tilde_rows, each swept once over n; the closed forms are
     direct, as (row, parity) pairs. Row n of Rtilde is compared with the
-    coefficients of y^0, y^2, ..., y^(2n-2) of R_n (odd n) or T_n (even n),
-    and row n of Ttilde with those of y^1, ..., y^(2n-1) of the other one.
-    YPolys are made, and the four records, only at an n where a row differs.
+    closed row of y^0, y^2, ..., y^(2n-2) of R_n (odd n) or T_n (even n), and
+    row n of Ttilde with the y^1, ..., y^(2n-1) row of the other one. The
+    records, and the R and T YPolys, are made only at an n where a row differs.
     """
     tally = _Tally("theorem2", max_n, 1)
     routes = zip(range(1, max_n + 1), _dz_rows(0), _dz_rows(1), tilde_rows())
     for n, r_operator, t_operator, (r_tilde, t_tilde) in routes:
         r_closed, t_closed = _binomial_closed_row(n, 1), _binomial_closed_row(n, 0)
-        even, odd = (r_closed, t_closed) if n % 2 else (t_closed, r_closed)
-        if (r_closed, t_closed, tuple(even[0]), tuple(odd[0])) == (r_operator, t_operator, r_tilde, t_tilde):
+        even, odd = (r_closed[0], t_closed[0]) if n % 2 else (t_closed[0], r_closed[0])
+        if (r_closed, t_closed, tuple(even), tuple(odd)) == (r_operator, t_operator, r_tilde, t_tilde):
             tally.checked += 4
             continue
-        r_closed, t_closed = _stride_poly(*r_closed), _stride_poly(*t_closed)
-        r_operator, t_operator = _stride_poly(*r_operator), _stride_poly(*t_operator)
-        tally.check(r_closed == r_operator, family="R", n=n, closed=r_closed, operator=r_operator)
-        tally.check(t_closed == t_operator, family="T", n=n, closed=t_closed, operator=t_operator)
-        even, odd = (r_closed, t_closed) if n % 2 else (t_closed, r_closed)
-        closed = [even.coefficient(a) for a in range(0, 2 * n, 2)]
-        tally.check(closed == list(r_tilde), family="Rtilde", n=n, closed=closed, recurrence=list(r_tilde))
-        closed = [odd.coefficient(a) for a in range(1, 2 * n, 2)]
-        tally.check(closed == list(t_tilde), family="Ttilde", n=n, closed=closed, recurrence=list(t_tilde))
+        for family, closed, operator in (("R", r_closed, r_operator), ("T", t_closed, t_operator)):
+            closed, operator = _stride_poly(*closed), _stride_poly(*operator)
+            tally.check(closed == operator, family=family, n=n, closed=closed, operator=operator)
+        tally.check(tuple(even) == r_tilde, family="Rtilde", n=n, closed=even, recurrence=list(r_tilde))
+        tally.check(tuple(odd) == t_tilde, family="Ttilde", n=n, closed=odd, recurrence=list(t_tilde))
     return tally.report()
 
 

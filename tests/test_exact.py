@@ -128,6 +128,13 @@ class TestGaussianInt:
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
 
+    def test_other_operators_raise(self):
+        # + and * take a GaussianInt only, and there is no - at all
+        g = GaussianInt(1, 2)
+        for op in (lambda: g + 1, lambda: g * 1, lambda: -g, lambda: g - GaussianInt(0, 1)):
+            with pytest.raises(TypeError):
+                op()
+
     def test_immutable_and_hash_stable(self):
         g = GaussianInt(1, 2)
         seen = {g}

@@ -87,8 +87,8 @@ LOADED_BY = {
     "triangle --name Rtilde --rows 3": TRIANGLE_LAYERS,
     "triangle --name Ttilde --rows 3": TRIANGLE_LAYERS,
     "triangle --name Rtilde --rows 3 --format bfile": TRIANGLE_LAYERS,
-    "triangle --name Ttilde --rows 3 --format json": TRIANGLE_LAYERS | {"json"},
-    "triangle --name M --rows 3 --format json": TRIANGLE_LAYERS | {"json"},
+    "triangle --name Ttilde --rows 3 --format json": TRIANGLE_LAYERS,
+    "triangle --name M --rows 3 --format json": TRIANGLE_LAYERS,
     "verify --suite tables --max-n 3": ALL_LAYERS,
     "verify --suite tables --max-n 3 --json": ALL_LAYERS | {"json"},
 }

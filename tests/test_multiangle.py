@@ -58,8 +58,9 @@ class TestBeelerRoute:
         assert tan_beeler(3, Rational(1)) == TanValue(Rational(-1))
 
     def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            tan_beeler(-1, Rational(1))
+        for method in (tan_beeler, tan_addition, tan_gaussian):
+            with pytest.raises(ValueError):
+                method(-1, Rational(1))
 
 
 class TestIntegerSums:
@@ -182,6 +183,12 @@ class TestFloatBridge:
 
     def test_not_applicable_at_pole(self):
         assert tan_float_check(2, Rational(1)) is None
+
+    def test_not_applicable_near_pole(self):
+        # tan(2x) = 2t / (1 - t^2): the denominator is not 0 but under the skip threshold
+        t = Rational(10**7 + 1, 10**7)
+        assert _alternating_sums(2, t)[1] == -20000001
+        assert tan_float_check(2, t) is None
 
     @pytest.mark.parametrize("n", [600, 1000])
     def test_not_applicable_past_double_range(self, n):

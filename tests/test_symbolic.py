@@ -12,6 +12,7 @@ for P_n, Q_n, R_n and T_n, exactly, coefficient for coefficient.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import sys
 import tracemalloc
@@ -176,6 +177,15 @@ class TestPolyBasics:
         assert p * p == YPoly({0: 1, 2: 2, 4: 1})
         assert p - p == YPoly.zero()
         assert 3 * p == YPoly({0: 3, 2: 3})
+
+    def test_mixed_types_raise(self):
+        # + - * take the poly's own class, and * an int too; == across classes is False
+        y, yz = YPoly({0: 1}), YZPoly({(0, 0): 1})
+        mixed = [(op, a, b) for op in (operator.add, operator.sub, operator.mul) for a, b in ((y, yz), (yz, y))]
+        for op, a, b in [*mixed, (operator.add, y, 1)]:
+            with pytest.raises(TypeError):
+                op(a, b)
+        assert (y == yz) is False
 
     def test_str_rendering(self):
         assert str(YPoly.zero()) == "0"

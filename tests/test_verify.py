@@ -100,6 +100,14 @@ class TestRegistry:
         assert report.suite == name
         assert report.checked > 0
 
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_max_n_below_the_floor_raises(self, name):
+        # the CLI rejects --max-n 0 first, so only library calls reach this check
+        floor = 0 if name in ("dz-expansion", "hoffman", "beeler") else 1
+        with pytest.raises(ValueError, match=f"^max_n must be at least {floor}$"):
+            run_suite(name, floor - 1)
+        assert run_suite(name, floor).passed
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suite("nonsense", 5)
@@ -141,20 +149,19 @@ def bump(row, k):
     return (*row[:k], row[k] + 1, *row[k + 1 :])
 
 
-def spoil_row(n, *ks):
-    """A patch for a row sequence that adds 1 to each entry k of row n.
+def spoil_draw(i, change, *at):
+    """A patch for a sequence function: item i of the sequence made for the
+    arguments `at` becomes change(item), and the items after it are stepped
+    from the right one.
 
     Each call starts a fresh sequence: the suite is run twice, and a sequence
     made once would be used up by the first run.
     """
 
     def patch(real):
-        def patched():
-            for i, row in enumerate(real()):
-                if i == n:
-                    for k in ks:
-                        row = bump(row, k)
-                yield row
+        def patched(*args):
+            for j, item in enumerate(real(*args)):
+                yield change(item) if (args, j) == (at, i) else item
 
         return patched
 
@@ -168,34 +175,6 @@ def spoil_coef(*at):
         def patched(n, k):
             value = real(n, k)
             return value + 1 if (n, k) in at else value
-
-        return patched
-
-    return patch
-
-
-def spoil_rtilde(n, k):
-    """A patch for tilde_rows that adds 1 to entry k of Rtilde row n >= 1; the
-    rows after it are stepped from the right one."""
-
-    def patch(real):
-        def patched():
-            for i, (r, t) in enumerate(real(), start=1):
-                yield (bump(r, k) if i == n else r), t
-
-        return patched
-
-    return patch
-
-
-def spoil_item(at, n, value):
-    """A patch for a sequence function of one argument: the sequence for `at`
-    yields value as item n, and the items after it are stepped from the right one."""
-
-    def patch(real):
-        def patched(arg):
-            for i, item in enumerate(real(arg)):
-                yield value if (arg, i) == (at, n) else item
 
         return patched
 
@@ -229,7 +208,7 @@ FAULTS = {
         {"family": "R", "n": "7", "k": "2", "lhs": "399", "rhs": "392"},
     ),
     "corollary": (
-        verify, "m_row_seq", spoil_row(3, 1), 44,
+        verify, "m_row_seq", spoil_draw(3, lambda row: bump(row, 1)), 44,
         {"family": "M", "n": "3", "k": "1", "rec": "25", "closed": "24"},
     ),
     "dz-expansion": (
@@ -260,11 +239,11 @@ FAULTS = {
         },
     ),
     "tables": (
-        verify, "tilde_rows", spoil_rtilde(3, 2), 10,
+        verify, "tilde_rows", spoil_draw(2, lambda rows: (bump(rows[0], 2), rows[1])), 10,
         {"family": "Rtilde", "n": "3", "got": "[1, 5, 5]", "want": "[1, 5, 4]"},
     ),
     "beeler": (
-        verify, "_addition_pairs", spoil_item(Rational(1, 2), 2, (0, 1)), 104,
+        verify, "_addition_pairs", spoil_draw(2, lambda pair: (0, 1), Rational(1, 2)), 104,
         {"n": "2", "t": "1/2", "beeler": "4/3", "addition": "0", "gaussian": "4/3"},
     ),
 }
@@ -289,7 +268,7 @@ MULTI_FAULTS = {
         ],
     ),
     "corollary": (
-        [(verify, "m_row_seq", spoil_row(5, 0, 2))],
+        [(verify, "m_row_seq", spoil_draw(5, lambda row: bump(bump(row, 0), 2)))],
         [
             {"family": "M", "n": "5", "k": "0", "rec": "721", "closed": "720"},
             {"family": "M", "n": "5", "k": "2", "rec": "721", "closed": "720"},
@@ -327,7 +306,7 @@ MULTI_FAULTS = {
     "beeler": (
         [
             (verify, "GaussianInt", spoil_power((2, 7), 5, GaussianInt(0, 1))),
-            (verify, "_addition_pairs", spoil_item(Rational(-1, 3), 3, (3, 4))),
+            (verify, "_addition_pairs", spoil_draw(3, lambda pair: (3, 4), Rational(-1, 3))),
         ],
         [
             {"n": "3", "t": "-1/3", "beeler": "-13/9", "addition": "3/4", "gaussian": "-13/9"},
@@ -373,7 +352,7 @@ class TestFailureRecords:
         "route, name, patch",
         [
             ("beeler", "_alternating_sums", inject((2, Rational(1, 2)), lambda pair: (0, 0))),
-            ("addition", "_addition_pairs", spoil_item(Rational(1, 2), 2, (0, 0))),
+            ("addition", "_addition_pairs", spoil_draw(2, lambda pair: (0, 0), Rational(1, 2))),
             ("gaussian", "GaussianInt", spoil_power((2, 1), 2, GaussianInt(0, 0))),
         ],
         ids=["beeler", "addition", "gaussian"],
@@ -418,7 +397,7 @@ class TestOneRoutePerFamily:
         # where the recurrence yields it. verify holds the function triangles
         # defines, so both references are patched with the one spoiled sequence.
         assert verify.tilde_rows is triangles.tilde_rows
-        spoiled = spoil_rtilde(4, 2)(triangles.tilde_rows)
+        spoiled = spoil_draw(3, lambda rows: (bump(rows[0], 2), rows[1]))(triangles.tilde_rows)
         monkeypatch.setattr(triangles, "tilde_rows", spoiled)
         monkeypatch.setattr(verify, "tilde_rows", spoiled)
         assert cli.main(["triangle", "--name", "Rtilde", "--rows", "5", "--format", "csv"]) == 0
