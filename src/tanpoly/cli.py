@@ -105,7 +105,7 @@ def _cmd_poly(args: argparse.Namespace) -> Generator[str, None, int]:
         return _fail(2, f"--n must be at least {min_n} for family {args.family}")
     poly, digits = getattr(symbolic, poly_name)(args.n), symbolic._digits
     if args.format == "table":
-        yield from poly._pieces(digits)
+        yield from poly._pieces()
     elif args.format == "csv":
         for i, (a, c) in enumerate(poly.terms()):
             yield ("\n" if i else "") + f"{a},{digits(c)}"

@@ -9,8 +9,7 @@ are plain integers: one walk along the Pascal row, with the exact step
 C(n,j+1) a^(j+1) b^(n-j-1) = C(n,j) a^j b^(n-j) * (n-j) a / ((j+1) b),
 adds term j to one of four sums by j mod 4; the numerator is the sum of
 j = 1 less that of j = 3, and the denominator that of j = 0 less that of
-j = 2. The ratio is reduced once, by a single gcd, at the end; at
-n = 3000 and t = 5/7 this takes about 0.02 s on CPython 3.11.
+j = 2. The ratio is reduced once, by a single gcd, at the end.
 
 The two cross-checks are iterated tangent angle addition, carried as a
 projective integer pair (p : q) so intermediate poles pass through

@@ -37,10 +37,9 @@ YZPoly is a sparse integer polynomial in the commuting variables y and z;
 YPoly is the same in y alone. Both share one ring implementation and differ
 only in the monomial key, the product, evaluation and rendering. str()
 joins the text of the terms that _pieces yields one at a time, and the
-poly command writes the same pieces without joining them. _pieces takes
-the int renderer: str() keeps plain str and its int -> str digit limit,
-and poly passes _digits, which converts a coefficient of 1,000 to 15,000
-digits by halves and gives the same text.
+poly command writes the same pieces without joining them. _pieces renders
+each coefficient by _digits: str under a set int -> str digit limit, and
+by halves, to the same text, while the limit is lifted, as in the CLI.
 ReducedPair (f, g) is the canonical representative f(y) + z*g(y) of a
 YZPoly in the quotient ring Z[y, z]/(z^2 - 1 - y^2); reduced_diff is the
 derivation on such pairs. P_n and Q_n, and R_n and T_n on the operator
@@ -62,9 +61,9 @@ ascending y-exponent, then ascending z-exponent.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
+import sys
 from itertools import chain, count, islice, pairwise, starmap
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .triangles import _item, r_coef, t_coef
 
@@ -132,21 +131,17 @@ class _SparsePoly:
     def __bool__(self) -> bool:
         return bool(self._coef)
 
-    def _pieces(self, digits: Callable[[int], str] = str) -> Iterator[str]:
+    def _pieces(self) -> Iterator[str]:
         """The text of str(self), one term at a time, so it can be written
-        without being built whole. digits renders each coefficient's
-        magnitude; the poly command passes _digits."""
+        without being built whole."""
         terms = self.terms()
         if not terms:
             yield "0"
         for i, (key, c) in enumerate(terms):
             sign = ("-" if c < 0 else "") if i == 0 else (" - " if c < 0 else " + ")
             body = self._monomial(key)
-            mag = abs(c)
-            if not body:
-                body = digits(mag)
-            elif mag != 1:
-                body = f"{digits(mag)}{body}"
+            if not body or abs(c) != 1:
+                body = _digits(abs(c)) + body
             yield sign + body
 
     def __str__(self) -> str:
@@ -156,21 +151,15 @@ class _SparsePoly:
         return f"{type(self).__name__}({dict(self.terms())!r})"
 
 
-@lru_cache(maxsize=1024)
-def _power_of_five(d: int) -> int:
-    """5^d, kept for the next coefficient of about the same size."""
-    return 5**d
-
-
 def _digits(c: int) -> str:
     """str(c), faster for c >= 0 of 1,000 to 15,000 digits: c is split at
     10^d and the halves converted, down to pieces of under 1,000 digits.
     CPython's int -> str is quadratic in that band on 3.10 to 3.13, and the
     split measured 1.06 to 2.2 times as fast there on each. Below it the
     division costs what it saves; above it, 3.12 and later convert through
-    _pylong, and on 3.13 the split no longer wins every time. Every other
-    value, negative ones included, goes to str, which checks the int -> str
-    digit limit; a value in the band escapes it, each piece being under it.
+    _pylong, and on 3.13 the split no longer wins every time. It splits only
+    while the int -> str digit limit reads 0 (lifted, or before 3.10.7); any
+    other value or state gets str(c), so it returns or raises as str does.
 
     n = c.bit_length() * 1233 >> 12 is at most the digit count of c, since
     1233 / 4096 < log10(2). So c >= 10^(n-1) >= 10^d for d = n // 2, and
@@ -180,10 +169,10 @@ def _digits(c: int) -> str:
     over c's low d bits: a division by 5^d, a third narrower than 10^d.
     """
     n = c.bit_length() * 1233 >> 12
-    if not 1000 <= n <= 15000 or c < 0:
+    if not 1000 <= n <= 15000 or c < 0 or getattr(sys, "get_int_max_str_digits", int)():
         return str(c)
     d = n // 2
-    hi, rest = divmod(c >> d, _power_of_five(d))
+    hi, rest = divmod(c >> d, 5**d)
     return _digits(hi) + _digits(rest << d | c & ((1 << d) - 1)).zfill(d)
 
 

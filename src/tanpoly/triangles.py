@@ -50,11 +50,15 @@ def t_coef(n: int, k: int) -> int:
 
 def r_row(n: int) -> list[int]:
     """Row n of the R triangle: k = 0 .. floor((n-1)/2). Row 0 is empty."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     return [r_coef(n, k) for k in range((n - 1) // 2 + 1)]
 
 
 def t_row(n: int) -> list[int]:
     """Row n of the T triangle: k = 0 .. floor(n/2)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     return [t_coef(n, k) for k in range(n // 2 + 1)]
 
 

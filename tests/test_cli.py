@@ -188,6 +188,16 @@ class TestPolyCommand:
         assert digit_limit() == limit
         assert out.splitlines()[-1] == f"2001,{full_str(math.factorial(2000))}"
 
+    def test_digit_limit_set_at_start(self):
+        # a limit set when the interpreter starts is lifted too; the digest
+        # is the emit workload's pin of the same invocation
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONINTMAXSTRDIGITS="640")
+        argv = [sys.executable, "-m", "tanpoly", "poly", "--family", "P", "--n", "1500", "--format", "json"]
+        done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, check=True, timeout=120)
+        assert done.stderr == b""
+        digest = "8bc24e96c2b5cfb474202917757c8f65468bf493cbb8031ac032a413ba1a8a1f"
+        assert hashlib.sha256(done.stdout).hexdigest() == digest
+
     @pytest.mark.parametrize(
         "fmt, render",
         [

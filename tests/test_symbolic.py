@@ -229,6 +229,17 @@ def lifted_digit_limit():
 
 
 @contextmanager
+def default_digit_limit():
+    """The interpreter's int -> str digit limit set to its default, 4300."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@contextmanager
 def watched_splits():
     """Collect the high half of every split _digits makes: the quotient of
     its one division."""
@@ -285,21 +296,33 @@ class TestDigits:
         assert list(YZPoly({(2, 3): -6, (0, 5): 1})._pieces()) == ["z^5", " - 6y^2z^3"]
         assert list(YPoly.zero()._pieces()) == ["0"]
         big = hoffman_p(1000) - YPoly({7: 10**5000})
-        with lifted_digit_limit():
-            assert list(big._pieces(_digits)) == list(big._pieces()) == list(big._pieces(str))
+        with watched_splits() as highs:
+            pieces = list(big._pieces())
+        assert highs  # the in-band coefficients were split
+        with lifted_digit_limit(), mock.patch.object(symbolic, "_digits", str):
+            assert list(big._pieces()) == pieces
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int -> str digit limit")
     def test_library_rendering_keeps_the_digit_limit(self):
         p = YPoly({0: 1, 3: 10**4999})
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)  # the default
-        try:
+        with default_digit_limit():
             with pytest.raises(ValueError):
                 str(p)
             with pytest.raises(ValueError):
                 list(p._pieces())
-        finally:
-            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int -> str digit limit")
+    def test_drop_in_for_str_under_a_set_limit(self):
+        def outcome(render, c):
+            try:
+                return render(c)
+            except ValueError:
+                return ValueError
+
+        values = [10**999, 10**1000 + 7, 10**4299, 10**4300, 10**5000]
+        with default_digit_limit():
+            for c in values + [-c for c in values]:
+                assert outcome(_digits, c) == outcome(str, c), c.bit_length()
 
 
 class TestDerivation:
@@ -343,6 +366,19 @@ class TestWeightedOperator:
         assert dz_iter(2, YZPoly.z()) == YZPoly({(2, 3): 6, (0, 5): 2})
         with pytest.raises(ValueError):
             dz_iter(-1, YZPoly.z())
+
+    def test_iterates_exactly_against_calculus(self):
+        # With s = sin x, d/ds = z D, so iterate m of p -> D(z p) on z is
+        # z^-1 d^m/ds^m of g = 1/(1 - s^2), and on y of g = s/(1 - s^2). That
+        # derivative is N(s)/(1 - s^2)^(m+1) for a polynomial N; as s = y/z and
+        # 1/(1 - s^2) = z^2, the coefficient of s^j in N is that of
+        # y^j z^(2m+1-j) in the iterate.
+        s = sympy.Symbol("s")
+        for seed, g in ((YZPoly.z(), 1 / (1 - s**2)), (YZPoly.y(), s / (1 - s**2))):
+            for m, p in zip(range(16), dz_seq(seed)):
+                numer = sympy.Poly(sympy.cancel(g * (1 - s**2) ** (m + 1)), s)
+                assert dict(p.terms()) == {(j, 2 * m + 1 - j): int(c) for (j,), c in numer.terms()}, m
+                g = sympy.diff(g, s)
 
     @pytest.mark.parametrize("n", range(9))
     def test_iterates_match_calculus(self, n):

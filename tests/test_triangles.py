@@ -129,10 +129,9 @@ class TestMN:
             assert sum(m_row(n)) == math.factorial(n) * 2**n
 
     def test_negative_row_rejected(self):
-        with pytest.raises(ValueError):
-            m_row(-1)
-        with pytest.raises(ValueError):
-            n_row(-1)
+        for row in (m_row, n_row, r_row, t_row):
+            with pytest.raises(ValueError):
+                row(-1)
 
     def test_deep_rows_from_cold_cache(self):
         # built by one sweep; one stack frame per row would pass the recursion limit
