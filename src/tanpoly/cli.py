@@ -79,6 +79,8 @@ def _cmd_triangle(args: argparse.Namespace) -> Generator[str, None, int]:
         return _fail(2, "--rows must be at least 1")
     if cap is not None and args.rows > cap:
         return _fail(2, f"--rows is capped at {cap} for {args.name}")
+    if args.rows > sys.maxsize:
+        return _fail(2, f"--rows must be at most {sys.maxsize}")
     rows = islice(rows_fn(triangles), args.rows)
     if args.format == "json":  # json.dumps text: the name is an ASCII choice and each value an int string
         yield f'{{"name": "{args.name}", "first_row": {first}, "rows": ['
@@ -103,6 +105,8 @@ def _cmd_poly(args: argparse.Namespace) -> Generator[str, None, int]:
     poly_name, min_n = _FAMILIES[args.family]
     if args.n < min_n:
         return _fail(2, f"--n must be at least {min_n} for family {args.family}")
+    if args.n > sys.maxsize:
+        return _fail(2, f"--n must be at most {sys.maxsize}")
     poly, digits = getattr(symbolic, poly_name)(args.n), symbolic._digits
     if args.format == "table":
         yield from poly._pieces()
@@ -123,6 +127,8 @@ def _cmd_tan(args: argparse.Namespace) -> Generator[str, None, int]:
     from .exact import Rational
     if args.n < 0:
         return _fail(2, "--n must be nonnegative")
+    if args.n > sys.maxsize:
+        return _fail(2, f"--n must be at most {sys.maxsize}")
     try:
         t = Rational.parse(args.t)
     except (ValueError, ZeroDivisionError):

@@ -46,8 +46,8 @@ derivation on such pairs. P_n and Q_n, and R_n and T_n on the operator
 route, are stepped as dense rows of one parity, where row[i] is the
 coefficient of y^(2i+e), and made YPoly only when drawn; _stride_poly is
 the one conversion from such a row. The closed form of R_n or T_n is such a
-row too: _binomial_closed_row makes it and sets its parity, r_poly_closed
-and t_poly_closed wrap it, and the theorem2 suite compares the rows. R_n,
+row too: _binomial_closed_row makes it from triangles.r_row/t_row and sets
+its parity, r_poly_closed and t_poly_closed wrap it, theorem2 compares it. R_n,
 T_n come three ways that share no code: Horner's rule in w = 1 + y^2 on
 their binomial closed forms (r_poly_closed, t_poly_closed), the operator
 route on rows (r_poly_dz, t_poly_dz) and the recurrence rows of
@@ -65,7 +65,7 @@ import sys
 from itertools import chain, count, islice, pairwise, starmap
 from typing import Iterator, Mapping, NamedTuple
 
-from .triangles import _item, r_coef, t_coef
+from .triangles import _item, r_row, t_row
 
 
 class InternalInconsistencyError(Exception):
@@ -436,18 +436,17 @@ def _binomial_closed_row(n: int, odd: int) -> tuple[list[int], int]:
     """R_n (odd = 1) or T_n (odd = 0): the sum over k <= K = floor((n-odd)/2) of
     C(n, 2k+odd) * y^(n-2k-odd) * w^(floor((n-1+odd)/2) + k), w = 1 + y^2, as
     (row, e), the row of its n coefficients of y^e, y^(e+2), ..., e = (n-odd) % 2,
-    the one place the parity is set. All terms have one degree in y^2, so
-    Horner's rule in w runs from the top (one shift-add per step).
+    the one place the parity is set. All terms have one degree in y^2, so Horner's
+    rule in w runs down row n of r_row/t_row from k = K, one shift-add a step.
     """
     if n < 1:
-        raise ValueError("family is defined for n >= 1")
-    coef = r_coef if odd else t_coef
-    top = (n - odd) // 2
-    acc = [coef(n, top)]
-    for k in range(top - 1, -((n - 1 + odd) // 2) - 1, -1):
+        raise ValueError("n must be at least 1")
+    row = (r_row if odd else t_row)(n)
+    acc = row[-1:]
+    for k in range(len(row) - 2, -((n - 1 + odd) // 2) - 1, -1):
         acc = list(map(operator.add, acc + [0], [0] + acc))
         if k >= 0:
-            acc[-1] += coef(n, k)
+            acc[-1] += row[k]
     return acc, (n - odd) % 2
 
 

@@ -1,7 +1,8 @@
 """The six exact coefficient triangles.
 
 Two binomial families: R(n, k) = C(n, 2k+1) and T(n, k) = C(n, 2k), the
-odd- and even-column halves of Pascal's triangle (A034867 and A034839).
+odd- and even-column halves of Pascal's triangle (A034867 and A034839),
+which the package reads only as the rows of r_row/t_row.
 Two factorial-scaled families M and N, the coefficients of the iterated
 operator p -> d/dx(sec(x) * p) expanded over tan and sec monomials; they
 are computed from their two-term recurrences and, independently, from the
@@ -122,7 +123,7 @@ def tilde_rows() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
 def _item(seq: Iterator, n: int):
     """Item n of seq, whose items are numbered from 0."""
     if n < 0:
-        raise ValueError("n must be at least 0")
+        raise ValueError("n must be nonnegative")
     return next(islice(seq, n, None))
 
 

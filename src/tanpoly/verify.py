@@ -5,9 +5,9 @@ and returns a VerifyReport: how many comparisons it made and which ones
 failed. The iterated routes are the lazy sequences symbolic and triangles
 own; a suite zips each sequence once against range(...), range first, so
 no item past max_n is drawn, and steps only the plain diff route of
-hoffman itself. Each reference value is read once: rt-recurrences carries
-the binomial row n + 1 of step n to step n + 1, and corollary and
-dz-expansion make one closed M and N row per n. Reports are plain data;
+hoffman itself. Each reference value is read once: rt-recurrences reads
+each R and T row through r_row/t_row, and corollary and dz-expansion make
+one closed M and N row per n. Reports are plain data;
 output formats, rendering and exit-code policy live in the cli module.
 rt-recurrences, corollary and theorem2 compare whole rows, dz-expansion
 the iterates' coefficient dicts and beeler each route's unreduced integer
@@ -25,13 +25,14 @@ published rows verbatim.
 
 from __future__ import annotations
 
+from itertools import count, pairwise
 from typing import Callable, Mapping, NamedTuple
 
 from .exact import GaussianInt
 from .multiangle import DEFAULT_GRID, _addition_pairs, _alternating_sums, _pair_value
 from .symbolic import ReducedPair, YPoly, YZPoly, diff, dz_seq, hoffman_p_seq, hoffman_q_seq, reduce_z
 from .symbolic import _binomial_closed_row, _dz_rows, _stride_poly
-from .triangles import _mn_closed_row, m_row_seq, n_row_seq, r_coef, t_coef, tilde_rows
+from .triangles import _mn_closed_row, m_row_seq, n_row_seq, r_row, t_row, tilde_rows
 
 RTILDE_GOLDEN: tuple[tuple[int, ...], ...] = (
     (1,),
@@ -87,37 +88,29 @@ class _Tally:
         return VerifyReport(self.suite, self.checked, tuple(self.failures), self.notes)
 
 
-def _binomial_row(coef: Callable[[int, int], int], m: int) -> list[int]:
-    """coef(m, k) for k = -1 .. floor((m+1)/2) + 1, entry k at index k + 1: every
-    k that the rt-recurrences step reads from row m, as row n or row n + 1."""
-    return [coef(m, k) for k in range(-1, (m + 1) // 2 + 2)]
-
-
 def verify_rt_recurrences(max_n: int) -> VerifyReport:
     """Check n*R(n+1,k) and n*T(n+1,k) against their two-term recurrences.
 
     Runs for 1 <= n <= max_n with k covering the full row plus one index on
-    each side, so the out-of-range zero convention is exercised too. Each
-    row is read once through r_coef/t_coef: row n+1 of step n is row n of
-    step n+1. Each side is a list over k; records (R, then T, at each k) are
-    made only at an n where a pair of lists differs.
+    each side, so the out-of-range zero convention is exercised too. Row m,
+    read once through r_row/t_row, is padded with zeros to every k it is read
+    at, whatever its length. Each side is a list over k; records (R, then T,
+    at each k) are made only at an n where a pair of lists differs.
     """
     tally = _Tally("rt-recurrences", max_n, 1)
-    r_row, t_row = _binomial_row(r_coef, 1), _binomial_row(t_coef, 1)
-    for n in range(1, max_n + 1):
-        r_next, t_next = _binomial_row(r_coef, n + 1), _binomial_row(t_coef, n + 1)
+    rows = ([[0, *row, *[0] * ((m + 1) // 2 + 2 - len(row))] for row in (r_row(m), t_row(m))] for m in count(1))
+    for n, ((r_n, t_n), (r_next, t_next)) in zip(range(1, max_n + 1), pairwise(rows)):
         width = (n + 1) // 2 + 2
         r_lhs = [n * c for c in r_next[1 : width + 1]]
-        r_rhs = [(n + 2 * k + 1) * a + (n - 2 * k + 1) * b for k, a, b in zip(range(width), r_row[1:], r_row)]
+        r_rhs = [(n + 2 * k + 1) * a + (n - 2 * k + 1) * b for k, a, b in zip(range(width), r_n[1:], r_n)]
         t_lhs = [n * c for c in t_next[1 : width + 1]]
-        t_rhs = [(n + 2 * k) * a + (n - 2 * k + 2) * b for k, a, b in zip(range(width), t_row[1:], t_row)]
+        t_rhs = [(n + 2 * k) * a + (n - 2 * k + 2) * b for k, a, b in zip(range(width), t_n[1:], t_n)]
         if r_lhs == r_rhs and t_lhs == t_rhs:
             tally.checked += 2 * width
         else:
             for k in range(width):
                 tally.check(r_lhs[k] == r_rhs[k], family="R", n=n, k=k, lhs=r_lhs[k], rhs=r_rhs[k])
                 tally.check(t_lhs[k] == t_rhs[k], family="T", n=n, k=k, lhs=t_lhs[k], rhs=t_rhs[k])
-        r_row, t_row = r_next, t_next
     return tally.report()
 
 
@@ -230,9 +223,9 @@ def verify_tables(max_n: int) -> VerifyReport:
     """
     tally = _Tally("tables", max_n, 1)
     rows = zip(range(1, max_n + 1), RTILDE_GOLDEN, TTILDE_GOLDEN, tilde_rows())
-    for n, r_want, t_want, (r_row, t_row) in rows:
-        tally.check(r_row == r_want, family="Rtilde", n=n, got=list(r_row), want=list(r_want))
-        tally.check(t_row == t_want, family="Ttilde", n=n, got=list(t_row), want=list(t_want))
+    for n, r_want, t_want, (r_got, t_got) in rows:
+        tally.check(r_got == r_want, family="Rtilde", n=n, got=list(r_got), want=list(r_want))
+        tally.check(t_got == t_want, family="Ttilde", n=n, got=list(t_got), want=list(t_want))
     return tally.report()
 
 

@@ -249,6 +249,15 @@ class TestTanCommand:
         assert len(expected) > 4300
         assert out == "".join(f"{name}: {expected}\n" for name in multiangle.METHODS) + "agree: yes\n"
 
+    def test_t_past_digit_limit(self, capsys):
+        # --t is parsed where the command runs, with the digit limit lifted
+        t = "1" + "0" * 4400 + "/7"
+        code, out, _ = run_cli(capsys, "tan", "--n", "2", "--t", t, "--method", "all")
+        assert code == 0
+        expected = full_str(multiangle.tan_gaussian(2, Rational(10**4400, 7)))
+        assert len(expected) > 2 * 4400
+        assert out == "".join(f"{name}: {expected}\n" for name in multiangle.METHODS) + "agree: yes\n"
+
     def test_malformed_t_exits_2(self, capsys):
         for bad in ("abc", "1/0", "1.5"):
             code, _, err = run_cli(capsys, "tan", "--n", "2", "--t", bad)
@@ -356,6 +365,21 @@ class TestHarness:
         second = run_cli(capsys, *argv)
         assert first == second
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("poly", "--family", "P", "--n"),
+            ("triangle", "--name", "R", "--rows"),
+            ("triangle", "--name", "Rtilde", "--format", "csv", "--rows"),
+            ("tan", "--t", "1", "--method", "addition", "--n"),
+        ],
+        ids=["poly", "triangle", "triangle-csv", "tan"],
+    )
+    def test_count_past_maxsize_exits_2(self, capsys, argv):
+        # itertools.islice takes no index past sys.maxsize
+        error = f"error: {argv[-1]} must be at most {sys.maxsize}\n"
+        assert run_cli(capsys, *argv, str(sys.maxsize + 1)) == (2, "", error)
+
 
 # sha256 of the text argparse writes at 80 columns, each --help page on
 # stdout and each usage error on stderr, recorded before the commands loaded
@@ -444,23 +468,27 @@ T_VALUES = st.one_of(
     st.builds("{}/{}".format, st.integers(-9, 9), st.integers(-9, 9)),
 )
 
+# counts past sys.maxsize, which every command rejects before it starts
+HUGE = st.integers(sys.maxsize + 1, 2**70)
+
 
 @st.composite
 def cli_argv(draw) -> list[str]:
-    """Argument vectors for every subcommand: small or invalid sizes, every choice."""
+    """Argument vectors for every subcommand: small, invalid or (except for
+    verify) huge sizes, every choice."""
     command = draw(st.sampled_from(["triangle", "poly", "tan", "verify"]))
     if command == "triangle":
-        rows = draw(st.integers(-2, 8))
+        rows = draw(st.integers(-2, 8) | HUGE)
         name = draw(st.sampled_from(sorted(cli._TRIANGLES)))
         fmt = draw(st.sampled_from(["table", "bfile", "csv", "json"]))
         return [command, "--name", name, "--rows", str(rows), "--format", fmt]
     if command == "poly":
-        n = draw(st.integers(-3, 40))
+        n = draw(st.integers(-3, 40) | HUGE)
         family = draw(st.sampled_from(sorted(cli._FAMILIES)))
         fmt = draw(st.sampled_from(["table", "csv", "json"]))
         return [command, "--family", family, "--n", str(n), "--format", fmt]
     if command == "tan":
-        n = draw(st.integers(-3, 40))
+        n = draw(st.integers(-3, 40) | HUGE)
         t = draw(T_VALUES)
         method = draw(st.sampled_from(sorted(multiangle.METHODS) + ["all"]))
         t_args = draw(st.sampled_from([[f"--t={t}"], ["--t", t]]))

@@ -59,7 +59,7 @@ class TestBeelerRoute:
 
     def test_negative_n_rejected(self):
         for method in (tan_beeler, tan_addition, tan_gaussian):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="^n must be nonnegative$"):
                 method(-1, Rational(1))
 
 
@@ -195,5 +195,5 @@ class TestFloatBridge:
         assert tan_float_check(n, Rational(7, 2)) is None
 
     def test_n_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
             tan_float_check(0, Rational(1, 3))

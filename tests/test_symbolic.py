@@ -364,7 +364,7 @@ class TestWeightedOperator:
         assert dz_iter(0, YZPoly.z()) == YZPoly.z()
         assert dz_iter(1, YZPoly.y()) == YZPoly({(2, 1): 1, (0, 3): 1})
         assert dz_iter(2, YZPoly.z()) == YZPoly({(2, 3): 6, (0, 5): 2})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
             dz_iter(-1, YZPoly.z())
 
     def test_iterates_exactly_against_calculus(self):
@@ -444,6 +444,11 @@ class TestHoffmanFamilies:
         assert hoffman_p(3) == YPoly({0: 2, 2: 8, 4: 6})
         assert hoffman_q(3) == YPoly({1: 5, 3: 6})
 
+    def test_negative_index_rejected(self):
+        for fn in (hoffman_p, hoffman_q):
+            with pytest.raises(ValueError, match="^n must be nonnegative$"):
+                fn(-1)
+
     def test_rows_match_reduced_diff(self):
         # reduced_diff on dict pairs is the reference for the step on dense rows
         p_pair = ReducedPair(YPoly.y(), YPoly.zero())
@@ -520,7 +525,7 @@ class TestRTFamilies:
 
     def test_index_zero_rejected(self):
         for fn in (r_poly_closed, t_poly_closed, r_poly_dz, t_poly_dz):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="^n must be at least 1$"):
                 fn(0)
 
     def test_both_routes_agree(self):

@@ -59,7 +59,7 @@ class TestBinom:
         assert binom(4, 5) == 0
 
     def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
             binom(-1, 0)
 
     def test_against_pascal_recurrence(self):
@@ -130,7 +130,7 @@ class TestMN:
 
     def test_negative_row_rejected(self):
         for row in (m_row, n_row, r_row, t_row):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="^n must be nonnegative$"):
                 row(-1)
 
     def test_deep_rows_from_cold_cache(self):
@@ -152,9 +152,9 @@ class TestMN:
             m, nn = _mn_closed_row(n, 0), _mn_closed_row(n, 1)
             assert [m_closed(n, k) for k in range(-2, len(m) + 2)] == [0, 0, *m, 0, 0]
             assert [n_closed(n, k) for k in range(-2, len(nn) + 2)] == [0, 0, *nn, 0, 0]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
             m_closed(-1, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
             n_closed(-1, 0)
 
     def test_even_row_edge_is_factorial(self):

@@ -204,7 +204,7 @@ def spoil_power(base, n, value):
 # symbolic, behind hoffman_p and r_poly_dz.
 FAULTS = {
     "rt-recurrences": (
-        verify, "r_coef", inject((8, 2), plus_one), 60,
+        triangles, "r_coef", inject((8, 2), plus_one), 60,
         {"family": "R", "n": "7", "k": "2", "lhs": "399", "rhs": "392"},
     ),
     "corollary": (
@@ -259,7 +259,7 @@ FAULTS = {
 # earlier one.
 MULTI_FAULTS = {
     "rt-recurrences": (
-        [(verify, "r_coef", spoil_coef((8, 1), (8, 3))), (verify, "t_coef", spoil_coef((8, 1), (8, 3)))],
+        [(triangles, "r_coef", spoil_coef((8, 1), (8, 3))), (triangles, "t_coef", spoil_coef((8, 1), (8, 3)))],
         [
             {"family": "R", "n": "7", "k": "1", "lhs": "399", "rhs": "392"},
             {"family": "T", "n": "7", "k": "1", "lhs": "203", "rhs": "196"},
@@ -295,7 +295,7 @@ MULTI_FAULTS = {
         ],
     ),
     "theorem2": (
-        [(symbolic, "r_coef", spoil_coef((4, 1))), (symbolic, "t_coef", spoil_coef((4, 1)))],
+        [(triangles, "r_coef", spoil_coef((4, 1))), (triangles, "t_coef", spoil_coef((4, 1)))],
         [
             {"family": "R", "n": "4", "closed": "5y + 19y^3 + 23y^5 + 9y^7", "operator": "4y + 16y^3 + 20y^5 + 8y^7"},
             {"family": "T", "n": "4", "closed": "1 + 10y^2 + 18y^4 + 9y^6", "operator": "1 + 9y^2 + 16y^4 + 8y^6"},
@@ -380,6 +380,16 @@ class TestFailureRecords:
         with pytest.raises(IndexError):
             run_suite("corollary", 7)
 
+    @pytest.mark.parametrize("name", ["r_row", "t_row"])
+    @pytest.mark.parametrize("length", [2, 4], ids=["short", "long"])
+    def test_rt_row_of_wrong_length_gives_records(self, monkeypatch, name, length):
+        # row 5 of R and of T has three entries; it is cut to two or given a fourth, 1
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda n: [*real(n), 1][:length] if n == 5 else real(n))
+        report = run_suite("rt-recurrences", 7)
+        assert report.checked == FAULTS["rt-recurrences"][3]
+        assert report.failures and {record["n"] for record in report.failures} == {"4", "5"}
+
 
 class TestOneRoutePerFamily:
     """The suites sweep the sequences behind the per-n functions, so one wrong
@@ -404,6 +414,36 @@ class TestOneRoutePerFamily:
         assert capsys.readouterr().out == "1\n1,2\n1,5,4\n1,9,17,8\n1,14,41,44,16\n"
         record = {"family": "Rtilde", "n": "4", "closed": "[1, 9, 16, 8]", "recurrence": "[1, 9, 17, 8]"}
         assert json_failures("theorem2", capsys) == [list(record.items())]
+
+    def test_rt_recurrences_theorem2_and_triangle_share_the_r_rows(self, monkeypatch, capsys):
+        # Row 5 of R, [5, 10, 1], loses its last entry where r_row makes it.
+        # symbolic and verify hold the function triangles defines, so all three
+        # references are patched with the one spoiled function.
+        assert verify.r_row is symbolic.r_row is triangles.r_row
+        real = triangles.r_row
+
+        def spoiled(n):
+            return real(n)[:-1] if n == 5 else real(n)
+
+        for module in (triangles, symbolic, verify):
+            monkeypatch.setattr(module, "r_row", spoiled)
+        assert cli.main(["triangle", "--name", "R", "--rows", "7", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "\n1\n2\n3,1\n4,4\n5,10\n6,20,6\n"
+        records = [
+            {"family": "R", "n": "4", "k": "2", "lhs": "0", "rhs": "4"},
+            {"family": "R", "n": "5", "k": "2", "lhs": "30", "rhs": "20"},
+        ]
+        assert json_failures("rt-recurrences", capsys) == [list(r.items()) for r in records]
+        records = [
+            {
+                "family": "R",
+                "n": "5",
+                "closed": "10 + 35y^2 + 40y^4 + 15y^6",
+                "operator": "1 + 14y^2 + 41y^4 + 44y^6 + 16y^8",
+            },
+            {"family": "Rtilde", "n": "5", "closed": "[10, 35, 40, 15]", "recurrence": "[1, 14, 41, 44, 16]"},
+        ]
+        assert json_failures("theorem2", capsys) == [list(r.items()) for r in records]
 
     def test_theorem2_and_r_poly_dz_share_the_dz_step(self, monkeypatch, capsys):
         # the step from R_3 to R_4
@@ -514,11 +554,11 @@ class TestLinearWork:
         reads = Counter()
         for name in ("r_coef", "t_coef"):
 
-            def counted(n, k, name=name, real=getattr(verify, name)):
+            def counted(n, k, name=name, real=getattr(triangles, name)):
                 reads[name, n, k] += 1
                 return real(n, k)
 
-            monkeypatch.setattr(verify, name, counted)
+            monkeypatch.setattr(triangles, name, counted)
         assert verify.verify_rt_recurrences(m).passed
         assert set(reads.values()) == {1}
         assert {n for _, n, _ in reads} == set(range(1, m + 2))
