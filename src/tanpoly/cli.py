@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import operator
 import os
+import re
 import sys
 from collections.abc import Generator
 from itertools import count, islice
@@ -173,7 +174,11 @@ class _Parser(argparse.ArgumentParser):
     through _flush, so a failing stderr leaves the exit code as it is; help
     and usage for stdout are written and flushed here, so a failing stdout
     leaves parse_args as OSError and main turns it into 74 or 141. Subparsers
-    are made with the parser's own class."""
+    are made with the parser's own class; --t -3/7 parses as --t -2 does."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def _print_message(self, message: str, file=None) -> None:
         if file is sys.stderr:

@@ -6,8 +6,8 @@ which the package reads only as the rows of r_row/t_row.
 Two factorial-scaled families M and N, the coefficients of the iterated
 operator p -> d/dx(sec(x) * p) expanded over tan and sec monomials; they
 are computed from their two-term recurrences and, independently, from the
-closed forms n! * C(n+1, 2k+1) and n! * C(n+1, 2k). _mn_closed_row makes a
-whole closed row from one n!; m_closed/n_closed read one entry of it, and
+closed forms n! * C(n+1, 2k+1) and n! * C(n+1, 2k): _mn_closed_row is n!
+times row n + 1 of R or T; m_closed/n_closed read one entry of it, and
 the corollary and dz-expansion suites draw one row per n. The recurrence rows
 are the lazy sequences m_row_seq and n_row_seq of tuples, which m_row/n_row
 read and the corollary suite and triangle command sweep. _item is the one
@@ -138,12 +138,12 @@ def n_row(n: int) -> tuple[int, ...]:
 
 
 def _mn_closed_row(n: int, s: int) -> tuple[int, ...]:
-    """Row n of M (s = 0) or N (s = 1) in closed form, n! * C(n+1, 2k+1-s) for
-    k = 0 .. floor((n+s)/2), with n! computed once for the row."""
+    """Row n of M (s = 0) or N (s = 1) in closed form: n! times row n + 1 of
+    R or T, n! * C(n+1, 2k+1-s) for k = 0 .. floor((n+s)/2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     scale = math.factorial(n)
-    return tuple(scale * math.comb(n + 1, 2 * k + 1 - s) for k in range((n + s) // 2 + 1))
+    return tuple(scale * c for c in (t_row if s else r_row)(n + 1))
 
 
 def _row_entry(row: tuple[int, ...], k: int) -> int:

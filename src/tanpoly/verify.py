@@ -14,7 +14,7 @@ the iterates' coefficient dicts and beeler each route's unreduced integer
 pair; only a row or point that differs goes through _Tally.check, which
 builds failure records that keep every value as an exact decimal string (a
 row is written as a list, [1, 5, 4]), so reports serialize without
-floating point.
+floating point. A row of the wrong length gives records.
 
 The embedded rows are the first five rows of A056242 (k-part
 order-consecutive partition counts) and of A210753. They are test data,
@@ -25,7 +25,7 @@ published rows verbatim.
 
 from __future__ import annotations
 
-from itertools import count, pairwise
+from itertools import count, pairwise, zip_longest
 from typing import Callable, Mapping, NamedTuple
 
 from .exact import GaussianInt
@@ -120,7 +120,7 @@ def verify_rec_vs_closed(max_n: int) -> VerifyReport:
     M is compared for k <= floor(n/2) and N for k <= floor((n+1)/2); the
     checked count is the total number of row entries compared. Each n draws
     one recurrence row and one closed row (_mn_closed_row) per family; rows
-    that differ are indexed up to the longer length, so a wrong length raises.
+    that differ are read as 0 past their end, so a wrong length gives records.
     """
     note = (
         "N is checked on its full defining range k <= floor((n+1)/2), "
@@ -134,8 +134,7 @@ def verify_rec_vs_closed(max_n: int) -> VerifyReport:
             if rec_row == closed_row:
                 tally.checked += len(closed_row)
                 continue
-            for k in range(max(len(rec_row), len(closed_row))):
-                rec, closed = rec_row[k], closed_row[k]
+            for k, (rec, closed) in enumerate(zip_longest(rec_row, closed_row, fillvalue=0)):
                 tally.check(rec == closed, family=family, n=n, k=k, rec=rec, closed=closed)
     return tally.report()
 

@@ -16,7 +16,7 @@ from operator import itemgetter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tanpoly import cli, multiangle, symbolic, triangles, verify
@@ -49,6 +49,19 @@ def full_str(value: object) -> str:
         return str(value)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def readme_examples() -> list[tuple[str, str]]:
+    """(arguments, stdout) of each `$ tanpoly ...` example in the README's CLI
+    block; an example's output is the lines under it, less the blank line
+    that ends it."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    examples = (example.split("\n", 1) for example in block.split("$ tanpoly ")[1:])
+    return [(command, out.rstrip("\n") + "\n") for command, out in examples]
+
+
+README_EXAMPLES = readme_examples()
 
 
 class TestTriangleCommand:
@@ -328,16 +341,12 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == want
         assert want.count("\n") == 3
 
-    def test_readme_verify_example(self, capsys):
-        readme = (ROOT / "README.md").read_text(encoding="utf-8")
-        command = "$ tanpoly verify --suite all --max-n 15\n"
-        block = readme[readme.index(command) + len(command):].split("\n")[: len(verify.SUITE_NAMES)]
-        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-n", "15")
-        assert code == 0
-        assert out == "\n".join(block) + "\n"
-
 
 class TestHarness:
+    @pytest.mark.parametrize("command, want", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])
+    def test_readme_example(self, capsys, command, want):
+        assert run_cli(capsys, *command.split()) == (0, want, "")
+
     def test_missing_subcommand_exits_2(self, capsys):
         assert run_cli(capsys)[0] == 2
 
@@ -363,6 +372,7 @@ class TestHarness:
     def test_output_is_deterministic(self, capsys, argv):
         first = run_cli(capsys, *argv)
         second = run_cli(capsys, *argv)
+        assert first[0] == 0
         assert first == second
 
     @pytest.mark.parametrize(
@@ -500,6 +510,21 @@ def cli_argv(draw) -> list[str]:
 
 class TestFuzz:
     @settings(deadline=None)
+    @given(st.integers(-3, 40), T_VALUES)
+    @example(12, "-3/7")
+    @example(12, "-9/-9")
+    @example(12, "-0/5")
+    def test_t_as_its_own_token(self, n, t):
+        # argparse reads a token that starts with - as an option unless it
+        # looks like -2 or -.5; --t T must read T as --t=T does
+        runs = []
+        for t_args in (["--t", t], [f"--t={t}"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                runs.append((cli.main(["tan", "--n", str(n), *t_args, "--method", "all"]), out.getvalue()))
+        assert runs[0] == runs[1]
+
+    @settings(deadline=None)
     @given(cli_argv())
     def test_exit_code_and_streams(self, argv):
         out, err = io.StringIO(), io.StringIO()
@@ -630,7 +655,8 @@ class TestLargeOutputs:
 
 
 def run_child(argv, **kwargs) -> subprocess.Popen:
-    """Start `python -m tanpoly argv` on this checkout, with stderr piped."""
+    """Start `python -m tanpoly argv` on this checkout, with stderr piped. Use
+    it as a context manager, which closes the child's pipes and waits for it."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.Popen(
         [sys.executable, "-m", "tanpoly", *argv], cwd=ROOT, env=env, stderr=subprocess.PIPE, **kwargs
@@ -645,11 +671,11 @@ class TestWriteFailures:
     def reader_goes_after_one_byte(argv):
         """Start argv with its stdout on a pipe, read one byte and close the pipe;
         return the exit code and stderr."""
-        child = run_child(argv, stdout=subprocess.PIPE)
-        assert len(child.stdout.read(1)) == 1
-        child.stdout.close()
-        err = child.stderr.read()
-        return child.wait(timeout=120), err
+        with run_child(argv, stdout=subprocess.PIPE) as child:
+            assert len(child.stdout.read(1)) == 1
+            child.stdout.close()
+            err = child.stderr.read()
+            return child.wait(timeout=120), err
 
     def test_broken_pipe_exits_141_silently(self):
         # megabytes of output: the writer is still writing when the reader goes
@@ -669,8 +695,9 @@ class TestWriteFailures:
             child = run_child(("--help",), stdout=write)
         finally:
             os.close(write)
-        err = child.stderr.read()
-        assert child.wait(timeout=120) == 141
+        with child:
+            err = child.stderr.read()
+            assert child.wait(timeout=120) == 141
         assert err == b""
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -686,10 +713,9 @@ class TestWriteFailures:
         ],
     )
     def test_full_device_exits_74(self, argv):
-        with open("/dev/full", "wb") as full:
-            child = run_child(argv, stdout=full)
+        with open("/dev/full", "wb") as full, run_child(argv, stdout=full) as child:
             err = child.stderr.read().decode()
-        assert child.wait(timeout=120) == 74
+            assert child.wait(timeout=120) == 74
         assert err == "error: cannot write output: No space left on device\n"
 
     @pytest.mark.parametrize(
@@ -701,9 +727,9 @@ class TestWriteFailures:
         ],
     )
     def test_closed_stdout_exits_74(self, argv):
-        child = run_child(argv, preexec_fn=lambda: os.close(1))
-        err = child.stderr.read().decode()
-        assert child.wait(timeout=120) == 74
+        with run_child(argv, preexec_fn=lambda: os.close(1)) as child:
+            err = child.stderr.read().decode()
+            assert child.wait(timeout=120) == 74
         assert err == "error: cannot write output: stdout is closed\n"
 
 

@@ -367,18 +367,22 @@ class TestFailureRecords:
         assert [list(f.items()) for f in report.failures] == [list(record.items())]
         assert json_failures("beeler", capsys) == [list(record.items())]
 
-    @pytest.mark.parametrize("length", [2, 4], ids=["short", "long"])
-    def test_corollary_row_of_wrong_length_raises(self, monkeypatch, length):
-        # row 5 of M has three entries; it is cut to two or padded with a 0
-        real = verify.m_row_seq
-
-        def patched():
-            for i, row in enumerate(real()):
-                yield (*row, 0)[:length] if i == 5 else row
-
-        monkeypatch.setattr(verify, "m_row_seq", patched)
-        with pytest.raises(IndexError):
-            run_suite("corollary", 7)
+    @pytest.mark.parametrize(
+        "length, checked, record",
+        [
+            (2, 44, {"family": "M", "n": "5", "k": "2", "rec": "0", "closed": "720"}),
+            (4, 45, {"family": "M", "n": "5", "k": "3", "rec": "1", "closed": "0"}),
+        ],
+        ids=["short", "long"],
+    )
+    def test_corollary_row_of_wrong_length_gives_records(self, monkeypatch, length, checked, record):
+        # row 5 of M, [720, 2400, 720], is cut to two entries or given a fourth, 1;
+        # an entry past a row's end reads as 0
+        patch = spoil_draw(5, lambda row: (*row, 1)[:length])
+        monkeypatch.setattr(verify, "m_row_seq", patch(verify.m_row_seq))
+        report = run_suite("corollary", 7)
+        assert report.checked == checked
+        assert [list(f.items()) for f in report.failures] == [list(record.items())]
 
     @pytest.mark.parametrize("name", ["r_row", "t_row"])
     @pytest.mark.parametrize("length", [2, 4], ids=["short", "long"])
@@ -444,6 +448,16 @@ class TestOneRoutePerFamily:
             {"family": "Rtilde", "n": "5", "closed": "[10, 35, 40, 15]", "recurrence": "[1, 14, 41, 44, 16]"},
         ]
         assert json_failures("theorem2", capsys) == [list(r.items()) for r in records]
+        # the closed M row 4 is 4! times row 5 of R, so it loses its last entry too
+        record = {"family": "M", "n": "4", "k": "2", "rec": "24", "closed": "0"}
+        assert json_failures("corollary", capsys) == [list(record.items())]
+        record = {
+            "family": "M",
+            "n": "4",
+            "got": "[((0, 9), 24), ((2, 7), 240), ((4, 5), 120)]",
+            "want": "[((2, 7), 240), ((4, 5), 120)]",
+        }
+        assert json_failures("dz-expansion", capsys) == [list(record.items())]
 
     def test_theorem2_and_r_poly_dz_share_the_dz_step(self, monkeypatch, capsys):
         # the step from R_3 to R_4
