@@ -34,12 +34,13 @@ reduce_z, which reduces a whole YZPoly, serves the hoffman suite and the
 tests, which pin the reduction of the iterates of dz_seq to these rows.
 
 YZPoly is a sparse integer polynomial in the commuting variables y and z;
-YPoly is the same in y alone. Both share one ring implementation and differ
-only in the monomial key, the product, evaluation and rendering. str()
-joins the text of the terms that _pieces yields one at a time, and the
-poly command writes the same pieces without joining them. _pieces renders
-each coefficient by _digits: str under a set int -> str digit limit, and
-by halves, to the same text, while the limit is lifted, as in the CLI.
+YPoly is the same in y alone. Both share one ring implementation, the
+product loop included, and differ only in the monomial key, the key sum,
+evaluation and rendering. str() joins the text of the terms that _pieces
+yields one at a time, and the poly command writes the same pieces without
+joining them. _pieces renders each coefficient by _digits: str under a set
+int -> str digit limit, and by halves, to the same text, while the limit is
+lifted, as in the CLI.
 ReducedPair (f, g) is the canonical representative f(y) + z*g(y) of a
 YZPoly in the quotient ring Z[y, z]/(z^2 - 1 - y^2); reduced_diff is the
 derivation on such pairs. P_n and Q_n, and R_n and T_n on the operator
@@ -75,8 +76,8 @@ class InternalInconsistencyError(Exception):
 class _SparsePoly:
     """Ring code shared by YPoly and YZPoly: a dict from monomial key to a
     nonzero integer coefficient. A subclass supplies the key (its unit key
-    and lowest exponent), the polynomial product of two coefficient dicts,
-    and the monomial renderer.
+    and lowest exponent), the key sum, which is the product of two
+    monomials, and the monomial renderer.
     """
 
     __slots__ = ("_coef",)
@@ -103,7 +104,7 @@ class _SparsePoly:
             return NotImplemented
         merged = dict(self._coef)
         for key, c in other._coef.items():
-            _add(merged, key, c)
+            merged[key] = merged.get(key, 0) + c
         return type(self)(merged)
 
     def __neg__(self):
@@ -119,7 +120,12 @@ class _SparsePoly:
             return type(self)({key: c * other for key, c in self._coef.items()})
         if not isinstance(other, type(self)):
             return NotImplemented
-        return type(self)(self._product(other._coef))
+        key_sum, product = self._key_sum, {}
+        for key, c in self._coef.items():
+            for key2, c2 in other._coef.items():
+                summed = key_sum(key, key2)
+                product[summed] = product.get(summed, 0) + c * c2
+        return type(self)(product)
 
     __rmul__ = __mul__
 
@@ -181,6 +187,7 @@ class YPoly(_SparsePoly):
 
     __slots__ = ()
     _UNIT = 0
+    _key_sum = staticmethod(operator.add)
 
     @staticmethod
     def _lowest_exponent(keys) -> int:
@@ -200,13 +207,6 @@ class YPoly(_SparsePoly):
         for a, c in self.terms():
             result = result + c * value**a
         return result
-
-    def _product(self, other: dict[int, int]) -> dict[int, int]:
-        product: dict[int, int] = {}
-        for a, c in self._coef.items():
-            for a2, c2 in other.items():
-                _add(product, a + a2, c * c2)
-        return product
 
     @staticmethod
     def _monomial(a: int) -> str:
@@ -241,26 +241,15 @@ class YZPoly(_SparsePoly):
             result = result + c * y_value**a * z_value**b
         return result
 
-    def _product(self, other: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-        product: dict[tuple[int, int], int] = {}
-        for (a, b), c in self._coef.items():
-            for (a2, b2), c2 in other.items():
-                _add(product, (a + a2, b + b2), c * c2)
-        return product
+    @staticmethod
+    def _key_sum(key: tuple[int, int], key2: tuple[int, int]) -> tuple[int, int]:
+        return key[0] + key2[0], key[1] + key2[1]
 
     @staticmethod
     def _monomial(key: tuple[int, int]) -> str:
         a, b = key
         z_part = "" if b == 0 else ("z" if b == 1 else f"z^{b}")
         return YPoly._monomial(a) + z_part
-
-
-def _add(acc: dict, key, c: int) -> None:
-    """acc[key] += c, storing c itself when key is new (adding to 0 copies a big int)."""
-    if key in acc:
-        acc[key] += c
-    else:
-        acc[key] = c
 
 
 class ReducedPair(NamedTuple):
@@ -287,9 +276,9 @@ def diff(p: YZPoly) -> YZPoly:
     acc: dict[tuple[int, int], int] = {}
     for (a, b), c in p._coef.items():
         if a:
-            _add(acc, (a - 1, b + 2), c * a)
+            acc[a - 1, b + 2] = acc.get((a - 1, b + 2), 0) + c * a
         if b:
-            _add(acc, (a + 1, b), c * b)
+            acc[a + 1, b] = acc.get((a + 1, b), 0) + c * b
     return YZPoly(acc)
 
 
@@ -301,8 +290,8 @@ def apply_dz(p: YZPoly) -> YZPoly:
     acc: dict[tuple[int, int], int] = {}
     for (a, b), c in p._coef.items():
         if a:
-            _add(acc, (a - 1, b + 3), a * c)
-        _add(acc, (a + 1, b + 1), (b + 1) * c)
+            acc[a - 1, b + 3] = acc.get((a - 1, b + 3), 0) + a * c
+        acc[a + 1, b + 1] = acc.get((a + 1, b + 1), 0) + (b + 1) * c
     return YZPoly(acc)
 
 
@@ -355,13 +344,13 @@ def reduced_diff(pair: ReducedPair) -> ReducedPair:
     for a, c in pair.f._coef.items():
         if a:
             ac = a * c
-            _add(f, a - 1, ac)
-            _add(f, a + 1, ac)
+            f[a - 1] = f.get(a - 1, 0) + ac
+            f[a + 1] = f.get(a + 1, 0) + ac
     g: dict[int, int] = {}
     for a, c in pair.g._coef.items():
         if a:
-            _add(g, a - 1, a * c)
-        _add(g, a + 1, (a + 1) * c)
+            g[a - 1] = g.get(a - 1, 0) + a * c
+        g[a + 1] = g.get(a + 1, 0) + (a + 1) * c
     return ReducedPair(YPoly(f), YPoly(g))
 
 

@@ -231,16 +231,16 @@ def verify_tables(max_n: int) -> VerifyReport:
 def verify_triple_agreement(max_n: int) -> VerifyReport:
     """Evaluate all three routes over 0 <= n <= max_n on the grid.
 
-    Agreement is exact equality of TanValue, poles included. Points are
-    visited in a fixed (n, t) order so the report is deterministic. Each
-    route stops at its unreduced pair (p : q): the binomial sums
-    (_alternating_sums), one _addition_pairs sequence per grid point,
-    advanced once per n, and the n-th power of one GaussianInt b + a*i per
-    grid point t = a/b. A point passes when no pair is (0, 0) and the pairs
-    are proportional, p1*q2 == p2*q1 and p1*q3 == p3*q1; (0, 0), which
-    _pair_value reads as the pole, is proportional to every pair. Only a
-    point that does not pass makes the three TanValues and goes through
-    _Tally.check, which compares them.
+    Points are visited in a fixed (n, t) order so the report is
+    deterministic. Each route stops at its unreduced pair (p : q): the
+    binomial sums (_alternating_sums), one _addition_pairs sequence per grid
+    point, advanced once per n, and the n-th power of one GaussianInt
+    b + a*i per grid point t = a/b. A point is decided once, by integers: it
+    passes when no pair is (0, 0) and the pairs are proportional,
+    p1*q2 == p2*q1 and p1*q3 == p3*q1; (0, 0), which _pair_value reads as
+    the pole, is proportional to every pair, so it fails even where the
+    true value is the pole. Only a point that fails makes the three
+    TanValues, which _Tally.check records; it does not compare them.
     """
     tally = _Tally("beeler", max_n, 0)
     points = [(t, _addition_pairs(t), GaussianInt(t.denominator, t.numerator)) for t in DEFAULT_GRID]
@@ -250,11 +250,11 @@ def verify_triple_agreement(max_n: int) -> VerifyReport:
             p2, q2 = next(additions)
             g = base**n
             p3, q3 = g.im, g.re
-            if (p1 or q1) and (p2 or q2) and (p3 or q3) and p1 * q2 == p2 * q1 and p1 * q3 == p3 * q1:
+            agree = (p1 or q1) and (p2 or q2) and (p3 or q3) and p1 * q2 == p2 * q1 and p1 * q3 == p3 * q1
+            if agree:
                 tally.checked += 1
                 continue
             by_ratio, by_addition, by_gaussian = _pair_value(p1, q1), _pair_value(p2, q2), _pair_value(p3, q3)
-            agree = by_ratio == by_addition == by_gaussian
             tally.check(agree, n=n, t=t, beeler=by_ratio, addition=by_addition, gaussian=by_gaussian)
     return tally.report()
 

@@ -251,6 +251,13 @@ def test_split_helpers_are_gone():
     assert not hasattr(tanpoly.symbolic, "_extract_scaled")
 
 
+def test_ring_helpers_are_gone():
+    # _SparsePoly.__mul__ holds the one product loop; sums are dict.get(key, 0) + c
+    assert not hasattr(tanpoly.symbolic, "_add")
+    assert not hasattr(tanpoly.YPoly, "_product")
+    assert not hasattr(tanpoly.YZPoly, "_product")
+
+
 def test_triangle_rows_live_in_triangles():
     # cli reads all six triangles through triangles; symbolic keeps no second path
     assert not hasattr(tanpoly.symbolic, "tilde_rows")

@@ -18,7 +18,7 @@ import sys
 import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import chain, zip_longest
+from itertools import chain, product, zip_longest
 from unittest import mock
 
 import pytest
@@ -207,6 +207,16 @@ class TestPolyBasics:
         assert z_free(f * g) == z_free(f) * z_free(g)
         assert z_free(f + g) == z_free(f) + z_free(g)
         assert z_free(f - g) == z_free(f) - z_free(g)
+
+    @given(y_polys, y_polys, yz_polys, yz_polys)
+    def test_product_matches_evaluation(self, f, g, u, v):
+        # __call__ sums its terms without the product loop both rings share,
+        # so it checks that loop where the z-free embedding above reuses it
+        points = (Fraction(0), Fraction(-3, 7), Fraction(5, 2))
+        for x in points:
+            assert (f * g)(x) == f(x) * g(x)
+        for y, z in product(points, repeat=2):
+            assert (u * v)(y, z) == u(y, z) * v(y, z)
 
     def test_evaluation(self):
         p = YPoly({0: 1, 2: 2})

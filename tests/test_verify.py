@@ -349,19 +349,24 @@ class TestFailureRecords:
         assert json_failures(suite, capsys) == [list(r.items()) for r in records]
 
     @pytest.mark.parametrize(
-        "route, name, patch",
+        "route, name, patch, t, value",
         [
-            ("beeler", "_alternating_sums", inject((2, Rational(1, 2)), lambda pair: (0, 0))),
-            ("addition", "_addition_pairs", spoil_draw(2, lambda pair: (0, 0), Rational(1, 2))),
-            ("gaussian", "GaussianInt", spoil_power((2, 1), 2, GaussianInt(0, 0))),
+            ("beeler", "_alternating_sums", inject((2, Rational(1, 2)), lambda pair: (0, 0)), "1/2", "4/3"),
+            ("addition", "_addition_pairs", spoil_draw(2, lambda pair: (0, 0), Rational(1, 2)), "1/2", "4/3"),
+            ("gaussian", "GaussianInt", spoil_power((2, 1), 2, GaussianInt(0, 0)), "1/2", "4/3"),
+            ("beeler", "_alternating_sums", inject((2, Rational(1)), lambda pair: (0, 0)), "1", "pole"),
+            ("addition", "_addition_pairs", spoil_draw(2, lambda pair: (0, 0), Rational(1)), "1", "pole"),
+            ("gaussian", "GaussianInt", spoil_power((1, 1), 2, GaussianInt(0, 0)), "1", "pole"),
         ],
-        ids=["beeler", "addition", "gaussian"],
+        ids=["beeler", "addition", "gaussian", "beeler-at-pole", "addition-at-pole", "gaussian-at-pole"],
     )
-    def test_beeler_zero_pair_is_the_pole(self, monkeypatch, capsys, route, name, patch):
+    def test_beeler_zero_pair_is_the_pole(self, monkeypatch, capsys, route, name, patch, t, value):
         # (0, 0) is proportional to every pair, yet _pair_value reads it as the
-        # pole, so one route's (0, 0) at n = 2, t = 1/2 must fail against 4/3.
+        # pole, so one route's (0, 0) at n = 2 must fail: at t = 1/2 against
+        # 4/3, and at t = 1, where the true pair (2, 0) is the pole, although
+        # all three routes then read the pole.
         monkeypatch.setattr(verify, name, patch(getattr(verify, name)))
-        record = {"n": "2", "t": "1/2", "beeler": "4/3", "addition": "4/3", "gaussian": "4/3", route: "pole"}
+        record = {"n": "2", "t": t, "beeler": value, "addition": value, "gaussian": value, route: "pole"}
         report = run_suite("beeler", 7)
         assert report.checked == FAULTS["beeler"][3]
         assert [list(f.items()) for f in report.failures] == [list(record.items())]
