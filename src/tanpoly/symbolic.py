@@ -367,13 +367,12 @@ def _hoffman_step(row: list[int], e: int, s: int) -> list[int]:
     return list(islice(sums, 1 - e, None))
 
 
-def _hoffman_rows(e: int, s: int) -> Iterator[tuple[list[int], int]]:
-    """(row, parity) of member 0, 1, ... from the row [1] (y^e), by _hoffman_step."""
-    row = [1]
+def _hoffman_rows(s: int) -> Iterator[tuple[list[int], int]]:
+    """(row, parity) of P_0, P_1, ... (s = 0) or Q_0, Q_1, ... (s = 1) by _hoffman_step from y^(1-s)."""
+    row, e = [1], 1 - s
     while True:
         yield row, e
-        row = _hoffman_step(row, e, s)
-        e = 1 - e
+        row, e = _hoffman_step(row, e, s), 1 - e
 
 
 def _stride_poly(row: list[int], e: int) -> YPoly:
@@ -383,24 +382,24 @@ def _stride_poly(row: list[int], e: int) -> YPoly:
 
 def hoffman_p_seq() -> Iterator[YPoly]:
     """P_0, P_1, ...: the rows stepped from P_0 = y."""
-    return starmap(_stride_poly, _hoffman_rows(1, 0))
+    return starmap(_stride_poly, _hoffman_rows(0))
 
 
 def hoffman_q_seq() -> Iterator[YPoly]:
     """Q_0, Q_1, ...: the rows stepped from Q_0 = 1."""
-    return starmap(_stride_poly, _hoffman_rows(0, 1))
+    return starmap(_stride_poly, _hoffman_rows(1))
 
 
 def hoffman_p(n: int) -> YPoly:
     """Derivative polynomial of the tangent, item n of hoffman_p_seq:
     P_0 = y, P_{k+1} = (1+y^2) P_k'."""
-    return _stride_poly(*_item(_hoffman_rows(1, 0), n))
+    return _stride_poly(*_item(_hoffman_rows(0), n))
 
 
 def hoffman_q(n: int) -> YPoly:
     """Derivative polynomial of the secant, item n of hoffman_q_seq:
     Q_0 = 1, Q_{k+1} = (1+y^2) Q_k' + y Q_k."""
-    return _stride_poly(*_item(_hoffman_rows(0, 1), n))
+    return _stride_poly(*_item(_hoffman_rows(1), n))
 
 
 def r_poly_closed(n: int) -> YPoly:
@@ -409,7 +408,7 @@ def r_poly_closed(n: int) -> YPoly:
     R_n(y) = sum over k <= floor((n-1)/2) of
              C(n, 2k+1) * y^(n-2k-1) * (1 + y^2)^(floor(n/2) + k).
     """
-    return _stride_poly(*_binomial_closed_row(n, 1))
+    return _stride_poly(*_binomial_closed_row(n, 0))
 
 
 def t_poly_closed(n: int) -> YPoly:
@@ -418,25 +417,25 @@ def t_poly_closed(n: int) -> YPoly:
     T_n(y) = sum over k <= floor(n/2) of
              C(n, 2k) * y^(n-2k) * (1 + y^2)^(floor((n-1)/2) + k).
     """
-    return _stride_poly(*_binomial_closed_row(n, 0))
+    return _stride_poly(*_binomial_closed_row(n, 1))
 
 
-def _binomial_closed_row(n: int, odd: int) -> tuple[list[int], int]:
-    """R_n (odd = 1) or T_n (odd = 0): the sum over k <= K = floor((n-odd)/2) of
-    C(n, 2k+odd) * y^(n-2k-odd) * w^(floor((n-1+odd)/2) + k), w = 1 + y^2, as
-    (row, e), the row of its n coefficients of y^e, y^(e+2), ..., e = (n-odd) % 2,
+def _binomial_closed_row(n: int, s: int) -> tuple[list[int], int]:
+    """R_n (s = 0) or T_n (s = 1): the sum over k <= K = floor((n-1+s)/2) of
+    C(n, 2k+1-s) * y^(n-2k-1+s) * w^(floor((n-s)/2) + k), w = 1 + y^2, as
+    (row, e), the row of its n coefficients of y^e, y^(e+2), ..., e = (n-1+s) % 2,
     the one place the parity is set. All terms have one degree in y^2, so Horner's
     rule in w runs down row n of r_row/t_row from k = K, one shift-add a step.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    row = (r_row if odd else t_row)(n)
+    row = (t_row if s else r_row)(n)
     acc = row[-1:]
-    for k in range(len(row) - 2, -((n - 1 + odd) // 2) - 1, -1):
+    for k in range(len(row) - 2, -((n - s) // 2) - 1, -1):
         acc = list(map(operator.add, acc + [0], [0] + acc))
         if k >= 0:
             acc[-1] += row[k]
-    return acc, (n - odd) % 2
+    return acc, (n - 1 + s) % 2
 
 
 def _dz_step(row: list[int], e: int, n: int) -> list[int]:
@@ -460,14 +459,13 @@ def _dz_step(row: list[int], e: int, n: int) -> list[int]:
     return quotient
 
 
-def _dz_rows(e: int) -> Iterator[tuple[list[int], int]]:
-    """(row, parity) of member 1, 2, ... by _dz_step, from the row [1]: R from z
-    (e = 0, the z part) and T from y (e = 1, z-free)."""
-    row = [1]
+def _dz_rows(s: int) -> Iterator[tuple[list[int], int]]:
+    """(row, parity) of member 1, 2, ... by _dz_step, from the row [1] at y^s:
+    R from z (s = 0, the z part) and T from y (s = 1, z-free)."""
+    row, e = [1], s
     for n in count(1):
         yield row, e
-        row = _dz_step(row, e, n)
-        e = 1 - e
+        row, e = _dz_step(row, e, n), 1 - e
 
 
 def r_poly_dz_seq() -> Iterator[YPoly]:
@@ -492,9 +490,9 @@ def t_poly_dz(n: int) -> YPoly:
     return _dz_member(n, 1)
 
 
-def _dz_member(n: int, e: int) -> YPoly:
-    """Member n >= 1 of R (e = 0) or T (e = 1): the row is drawn from _dz_rows
+def _dz_member(n: int, s: int) -> YPoly:
+    """Member n >= 1 of R (s = 0) or T (s = 1): the row is drawn from _dz_rows
     and made a YPoly once."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _stride_poly(*_item(_dz_rows(e), n - 1))
+    return _stride_poly(*_item(_dz_rows(s), n - 1))

@@ -50,17 +50,17 @@ def t_coef(n: int, k: int) -> int:
 
 
 def r_row(n: int) -> list[int]:
-    """Row n of the R triangle: k = 0 .. floor((n-1)/2). Row 0 is empty."""
+    """Row n of the R triangle: C(n, j) for odd j <= n. Row 0 is empty."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return [r_coef(n, k) for k in range((n - 1) // 2 + 1)]
+    return [binom(n, j) for j in range(1, n + 1, 2)]
 
 
 def t_row(n: int) -> list[int]:
-    """Row n of the T triangle: k = 0 .. floor(n/2)."""
+    """Row n of the T triangle: C(n, j) for even j <= n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return [t_coef(n, k) for k in range(n // 2 + 1)]
+    return [binom(n, j) for j in range(0, n + 1, 2)]
 
 
 def _mn_row_seq(s: int) -> Iterator[tuple[int, ...]]:
@@ -91,11 +91,11 @@ def tilde_rows() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(Rtilde row n, Ttilde row n) for n = 1, 2, ... by the Fibonacci-type
     recurrence of R_n and T_n, with w = 1 + y^2:
 
-        X_{n+1} = w * (2y X_n + X_{n-1})   if n % 2 == odd,
+        X_{n+1} = w * (2y X_n + X_{n-1})   if n + s is odd,
         X_{n+1} = 2y X_n + w X_{n-1}       otherwise,
 
-    where R takes odd = 1 from (R_1, R_2) = (1, 2y + 2y^3) and T takes
-    odd = 0 from (T_1, T_2) = (y, 1 + 2y^2). Row n of Rtilde holds R_n for
+    where R takes s = 0 from (R_1, R_2) = (1, 2y + 2y^3) and T takes
+    s = 1 from (T_1, T_2) = (y, 1 + 2y^2). Row n of Rtilde holds R_n for
     odd n and T_n for even n, Ttilde the other one, so at every n the first
     rule makes Ttilde and the second Rtilde:
 

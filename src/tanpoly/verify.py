@@ -14,7 +14,7 @@ the iterates' coefficient dicts and beeler each route's unreduced integer
 pair; only a row or point that differs goes through _Tally.check, which
 builds failure records that keep every value as an exact decimal string (a
 row is written as a list, [1, 5, 4]), so reports serialize without
-floating point. A row of the wrong length gives records.
+floating point. A wrong-length row gives records unless it only adds zeros.
 
 The embedded rows are the first five rows of A056242 (k-part
 order-consecutive partition counts) and of A210753. They are test data,
@@ -117,10 +117,10 @@ def verify_rt_recurrences(max_n: int) -> VerifyReport:
 def verify_rec_vs_closed(max_n: int) -> VerifyReport:
     """Check the recurrence values against the factorial closed forms.
 
-    M is compared for k <= floor(n/2) and N for k <= floor((n+1)/2); the
-    checked count is the total number of row entries compared. Each n draws
-    one recurrence row and one closed row (_mn_closed_row) per family; rows
-    that differ are read as 0 past their end, so a wrong length gives records.
+    M is compared for k <= floor(n/2) and N for k <= floor((n+1)/2); checked
+    counts the row entries compared. Each n draws one recurrence row and one
+    closed row (_mn_closed_row) per family; rows that differ read as 0 past
+    their end, so a wrong length gives records unless it only adds zeros.
     """
     note = (
         "N is checked on its full defining range k <= floor((n+1)/2), "
@@ -193,16 +193,16 @@ def verify_closed_forms(max_n: int) -> VerifyReport:
 
     The operator route is the (row, parity) pairs of _dz_rows and the
     recurrence is tilde_rows, each swept once over n; the closed forms are
-    direct, as (row, parity) pairs. Row n of Rtilde is compared with the
-    closed row of y^0, y^2, ..., y^(2n-2) of R_n (odd n) or T_n (even n), and
-    row n of Ttilde with the y^1, ..., y^(2n-1) row of the other one. The
+    direct (row, parity) pairs, R then T. Row n of Rtilde is compared with the
+    closed row of parity 0 (y^0, y^2, ..., y^(2n-2)) and row n of Ttilde with
+    the other one (y^1, ..., y^(2n-1)): only the rows' parity picks them. The
     records, and the R and T YPolys, are made only at an n where a row differs.
     """
     tally = _Tally("theorem2", max_n, 1)
     routes = zip(range(1, max_n + 1), _dz_rows(0), _dz_rows(1), tilde_rows())
     for n, r_operator, t_operator, (r_tilde, t_tilde) in routes:
-        r_closed, t_closed = _binomial_closed_row(n, 1), _binomial_closed_row(n, 0)
-        even, odd = (r_closed[0], t_closed[0]) if n % 2 else (t_closed[0], r_closed[0])
+        r_closed, t_closed = _binomial_closed_row(n, 0), _binomial_closed_row(n, 1)
+        even, odd = (r_closed[0], t_closed[0]) if r_closed[1] == 0 else (t_closed[0], r_closed[0])
         if (r_closed, t_closed, tuple(even), tuple(odd)) == (r_operator, t_operator, r_tilde, t_tilde):
             tally.checked += 4
             continue

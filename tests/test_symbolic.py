@@ -32,8 +32,12 @@ from tanpoly.symbolic import (
     ReducedPair,
     YPoly,
     YZPoly,
+    _binomial_closed_row,
     _digits,
+    _dz_rows,
     _dz_step,
+    _hoffman_rows,
+    _stride_poly,
     apply_dz,
     diff,
     dz_iter,
@@ -628,6 +632,15 @@ class TestRTFamilies:
         assert _dz_step([1, 2], 0, 2) == [3, 7, 4]
         with pytest.raises(InternalInconsistencyError, match="coefficient 6 of y\\^1 not divisible by 4"):
             _dz_step([1, 2], 0, 4)
+
+    def test_one_selector_per_pair(self):
+        # s = 0 picks the first family of a pair (R, P) and s = 1 the second (T, Q)
+        for s in (0, 1):
+            for n, operator_row in zip(range(1, 41), _dz_rows(s)):
+                assert _binomial_closed_row(n, s) == operator_row, (s, n)
+        for s, member in ((0, hoffman_p), (1, hoffman_q)):
+            for n, row in zip(range(30), _hoffman_rows(s)):
+                assert _stride_poly(*row) == member(n), (s, n)
 
 
 class TestVerifySuites:

@@ -87,6 +87,17 @@ class TestRTCoefficients:
             assert sum(r_row(n)) == 2 ** (n - 1)
             assert sum(t_row(n)) == 2 ** (n - 1)
 
+    def test_rows_are_pascal_halves(self):
+        # the odd and even entries of Pascal's row n, built by addition alone
+        rows = pascal_rows(60)
+        for n in range(61):
+            odd, even = rows[n][1::2], rows[n][0::2]
+            assert r_row(n) == odd, n
+            assert t_row(n) == even, n
+            for k in range(-2, n // 2 + 3):
+                assert r_coef(n, k) == (odd[k] if 0 <= k < len(odd) else 0), (n, k)
+                assert t_coef(n, k) == (even[k] if 0 <= k < len(even) else 0), (n, k)
+
     def test_recurrence_hand_instances(self):
         # n=2, k=0: 2*R(3,0) = 6 = 3*R(2,0) + 3*R(2,-1)
         assert 2 * r_coef(3, 0) == (2 + 1) * r_coef(2, 0) + (2 + 1) * r_coef(2, -1) == 6

@@ -169,12 +169,12 @@ def spoil_draw(i, change, *at):
 
 
 def spoil_coef(*at):
-    """A patch for a binomial function that adds 1 to its value at each (n, k) in at."""
+    """A patch for binom that adds 1 to its value at each (n, j) in at."""
 
     def patch(real):
-        def patched(n, k):
-            value = real(n, k)
-            return value + 1 if (n, k) in at else value
+        def patched(n, j):
+            value = real(n, j)
+            return value + 1 if (n, j) in at else value
 
         return patched
 
@@ -204,7 +204,7 @@ def spoil_power(base, n, value):
 # symbolic, behind hoffman_p and r_poly_dz.
 FAULTS = {
     "rt-recurrences": (
-        triangles, "r_coef", inject((8, 2), plus_one), 60,
+        triangles, "binom", inject((8, 5), plus_one), 60,
         {"family": "R", "n": "7", "k": "2", "lhs": "399", "rhs": "392"},
     ),
     "corollary": (
@@ -259,7 +259,7 @@ FAULTS = {
 # earlier one.
 MULTI_FAULTS = {
     "rt-recurrences": (
-        [(triangles, "r_coef", spoil_coef((8, 1), (8, 3))), (triangles, "t_coef", spoil_coef((8, 1), (8, 3)))],
+        [(triangles, "binom", spoil_coef((8, 3), (8, 7), (8, 2), (8, 6)))],
         [
             {"family": "R", "n": "7", "k": "1", "lhs": "399", "rhs": "392"},
             {"family": "T", "n": "7", "k": "1", "lhs": "203", "rhs": "196"},
@@ -295,7 +295,7 @@ MULTI_FAULTS = {
         ],
     ),
     "theorem2": (
-        [(triangles, "r_coef", spoil_coef((4, 1))), (triangles, "t_coef", spoil_coef((4, 1)))],
+        [(triangles, "binom", spoil_coef((4, 3), (4, 2)))],
         [
             {"family": "R", "n": "4", "closed": "5y + 19y^3 + 23y^5 + 9y^7", "operator": "4y + 16y^3 + 20y^5 + 8y^7"},
             {"family": "T", "n": "4", "closed": "1 + 10y^2 + 18y^4 + 9y^6", "operator": "1 + 9y^2 + 16y^4 + 8y^6"},
@@ -571,14 +571,16 @@ class TestLinearWork:
     @pytest.mark.parametrize("m", [1, 7, 30])
     def test_rt_recurrences_reads_each_binomial_once(self, monkeypatch, m):
         reads = Counter()
-        for name in ("r_coef", "t_coef"):
+        for name in ("binom", "r_coef", "t_coef"):
 
-            def counted(n, k, name=name, real=getattr(triangles, name)):
-                reads[name, n, k] += 1
-                return real(n, k)
+            def counted(n, j, name=name, real=getattr(triangles, name)):
+                reads[name, n, j] += 1
+                return real(n, j)
 
             monkeypatch.setattr(triangles, name, counted)
         assert verify.verify_rt_recurrences(m).passed
+        # the rows take each entry straight from binom, not through r_coef/t_coef
+        assert {name for name, _, _ in reads} == {"binom"}
         assert set(reads.values()) == {1}
         assert {n for _, n, _ in reads} == set(range(1, m + 2))
 
