@@ -35,8 +35,10 @@ tests, which pin the reduction of the iterates of dz_seq to these rows.
 
 YZPoly is a sparse integer polynomial in the commuting variables y and z;
 YPoly is the same in y alone. Both share one ring implementation, the
-product loop included, and differ only in the monomial key, the key sum,
-evaluation and rendering. str() joins the text of the terms that _pieces
+product loop, evaluation and rendering included, and supply only their
+monomial key: its unit, key sum, lowest exponent and exponents in y, z
+order. diff and apply_dz are one monomial map, _derive, the derivative of
+z^s * p at s = 0 and s = 1. str() joins the text of the terms that _pieces
 yields one at a time, and the poly command writes the same pieces without
 joining them. _pieces renders each coefficient by _digits: str under a set
 int -> str digit limit, and by halves, to the same text, while the limit is
@@ -75,9 +77,10 @@ class InternalInconsistencyError(Exception):
 
 class _SparsePoly:
     """Ring code shared by YPoly and YZPoly: a dict from monomial key to a
-    nonzero integer coefficient. A subclass supplies the key (its unit key
-    and lowest exponent), the key sum, which is the product of two
-    monomials, and the monomial renderer.
+    nonzero integer coefficient, with the one product loop, evaluation and
+    rendering. A subclass supplies only its key: the unit key _UNIT, the key
+    sum _key_sum, which is the product of two monomials, _lowest_exponent,
+    and _exponents, the exponents of a key in y, z order.
     """
 
     __slots__ = ("_coef",)
@@ -137,6 +140,24 @@ class _SparsePoly:
     def __bool__(self) -> bool:
         return bool(self._coef)
 
+    def __call__(self, *values):
+        """Evaluate at one value per variable, y then z, each supporting +, *
+        and ** by a nonnegative int, such as ints or Fractions (not YZPoly,
+        which has no **)."""
+        arity = len(self._exponents(self._UNIT))
+        if len(values) != arity:
+            raise TypeError(f"{type(self).__name__} takes {arity} values, got {len(values)}")
+        result = 0
+        for key, c in self.terms():
+            for value, e in zip(values, self._exponents(key)):
+                c = c * value**e
+            result = result + c
+        return result
+
+    def _monomial(self, key) -> str:
+        """y^a z^b as written in str(): "" for the unit, y, y^2, z, yz, ..."""
+        return "".join(v if e == 1 else f"{v}^{e}" for v, e in zip("yz", self._exponents(key)) if e)
+
     def _pieces(self) -> Iterator[str]:
         """The text of str(self), one term at a time, so it can be written
         without being built whole."""
@@ -193,6 +214,10 @@ class YPoly(_SparsePoly):
     def _lowest_exponent(keys) -> int:
         return min(keys)
 
+    @staticmethod
+    def _exponents(a: int) -> tuple[int]:
+        return (a,)
+
     @classmethod
     def y(cls) -> YPoly:
         return cls({1: 1})
@@ -200,26 +225,13 @@ class YPoly(_SparsePoly):
     def coefficient(self, a: int) -> int:
         return self._coef.get(a, 0)
 
-    def __call__(self, value):
-        """Evaluate at a value supporting +, * and ** by a nonnegative int,
-        such as an int or a Fraction."""
-        result = 0
-        for a, c in self.terms():
-            result = result + c * value**a
-        return result
-
-    @staticmethod
-    def _monomial(a: int) -> str:
-        if a == 0:
-            return ""
-        return "y" if a == 1 else f"y^{a}"
-
 
 class YZPoly(_SparsePoly):
     """Sparse integer polynomial in commuting y and z, keyed by (y-exp, z-exp)."""
 
     __slots__ = ()
     _UNIT = (0, 0)
+    _exponents = staticmethod(tuple)
 
     @staticmethod
     def _lowest_exponent(keys) -> int:
@@ -233,23 +245,9 @@ class YZPoly(_SparsePoly):
     def z(cls) -> YZPoly:
         return cls({(0, 1): 1})
 
-    def __call__(self, y_value, z_value):
-        """Evaluate at values supporting +, * and ** by a nonnegative int,
-        such as ints or Fractions (not YZPoly, which has no **)."""
-        result = 0
-        for (a, b), c in self.terms():
-            result = result + c * y_value**a * z_value**b
-        return result
-
     @staticmethod
     def _key_sum(key: tuple[int, int], key2: tuple[int, int]) -> tuple[int, int]:
         return key[0] + key2[0], key[1] + key2[1]
-
-    @staticmethod
-    def _monomial(key: tuple[int, int]) -> str:
-        a, b = key
-        z_part = "" if b == 0 else ("z" if b == 1 else f"z^{b}")
-        return YPoly._monomial(a) + z_part
 
 
 class ReducedPair(NamedTuple):
@@ -269,29 +267,27 @@ class ReducedPair(NamedTuple):
 
 
 def diff(p: YZPoly) -> YZPoly:
-    """The derivation with diff(y) = z^2 and diff(z) = yz.
-
-    On a monomial: c*y^a*z^b -> c*a*y^(a-1)*z^(b+2) + c*b*y^(a+1)*z^b.
-    """
-    acc: dict[tuple[int, int], int] = {}
-    for (a, b), c in p._coef.items():
-        if a:
-            acc[a - 1, b + 2] = acc.get((a - 1, b + 2), 0) + c * a
-        if b:
-            acc[a + 1, b] = acc.get((a + 1, b), 0) + c * b
-    return YZPoly(acc)
+    """The derivation with diff(y) = z^2 and diff(z) = yz."""
+    return _derive(p, 0)
 
 
 def apply_dz(p: YZPoly) -> YZPoly:
-    """One step of the weighted operator, diff of z * p, as one monomial map:
+    """One step of the weighted operator, diff of z * p."""
+    return _derive(p, 1)
 
-    c*y^a*z^b -> a*c*y^(a-1)*z^(b+3) + (b+1)*c*y^(a+1)*z^(b+1).
+
+def _derive(p: YZPoly, s: int) -> YZPoly:
+    """diff(z^s * p) as one monomial map, for s = 0 (diff) or s = 1 (apply_dz):
+
+    c*y^a*z^b -> a*c*y^(a-1)*z^(b+s+2) + (b+s)*c*y^(a+1)*z^(b+s).
     """
     acc: dict[tuple[int, int], int] = {}
     for (a, b), c in p._coef.items():
+        b += s
         if a:
-            acc[a - 1, b + 3] = acc.get((a - 1, b + 3), 0) + a * c
-        acc[a + 1, b + 1] = acc.get((a + 1, b + 1), 0) + (b + 1) * c
+            acc[a - 1, b + 2] = acc.get((a - 1, b + 2), 0) + a * c
+        if b:
+            acc[a + 1, b] = acc.get((a + 1, b), 0) + b * c
     return YZPoly(acc)
 
 

@@ -258,6 +258,25 @@ def test_ring_helpers_are_gone():
     assert not hasattr(tanpoly.YZPoly, "_product")
 
 
+def test_subclasses_supply_only_their_key(monkeypatch):
+    # _SparsePoly evaluates and renders for both keys; diff and apply_dz are
+    # _derive, the derivative of z^s * p, at s = 0 and s = 1
+    for cls in (tanpoly.YPoly, tanpoly.YZPoly):
+        assert not {"__call__", "_monomial"} & set(vars(cls)), cls.__name__
+    assert {"__call__", "_monomial"} <= set(vars(tanpoly.symbolic._SparsePoly))
+    selectors = []
+    real = tanpoly.symbolic._derive
+
+    def spy(p, s):
+        selectors.append(s)
+        return real(p, s)
+
+    monkeypatch.setattr(tanpoly.symbolic, "_derive", spy)
+    tanpoly.symbolic.diff(tanpoly.YZPoly.z())
+    tanpoly.symbolic.apply_dz(tanpoly.YZPoly.z())
+    assert selectors == [0, 1]
+
+
 def test_triangle_rows_live_in_triangles():
     # cli reads all six triangles through triangles; symbolic keeps no second path
     assert not hasattr(tanpoly.symbolic, "tilde_rows")
