@@ -77,10 +77,10 @@ class InternalInconsistencyError(Exception):
 
 class _SparsePoly:
     """Ring code shared by YPoly and YZPoly: a dict from monomial key to a
-    nonzero integer coefficient, with the one product loop, evaluation and
-    rendering. A subclass supplies only its key: the unit key _UNIT, the key
-    sum _key_sum, which is the product of two monomials, _lowest_exponent,
-    and _exponents, the exponents of a key in y, z order.
+    nonzero int coefficient (any other is a TypeError), with the one product
+    loop, evaluation and rendering. A subclass supplies only its key: the unit
+    key _UNIT, the key sum _key_sum, which is the product of two monomials,
+    _lowest_exponent, and _exponents, the exponents of a key in y, z order.
     """
 
     __slots__ = ("_coef",)
@@ -88,7 +88,7 @@ class _SparsePoly:
     def __init__(self, coef: Mapping | None = None):
         if coef and self._lowest_exponent(coef) < 0:
             raise ValueError("negative exponent")
-        self._coef = {key: c for key, c in coef.items() if c} if coef else {}
+        self._coef = {key: c for key, c in coef.items() if operator.index(c)} if coef else {}
 
     @classmethod
     def zero(cls):

@@ -1,20 +1,21 @@
 """The identity suites, their registry, and the report type they share.
 
-Each suite compares two or three independent routes to the same values
-and returns a VerifyReport: how many comparisons it made and which ones
+Each suite compares two or three independent routes to the same values and
+returns a VerifyReport: how many comparisons it made and which ones
 failed. The iterated routes are the lazy sequences symbolic and triangles
 own; a suite zips each sequence once against range(...), range first, so
 no item past max_n is drawn, and steps only the plain diff route of
 hoffman itself. Each reference value is read once: rt-recurrences reads
-each R and T row through r_row/t_row, and corollary and dz-expansion make
-one closed M and N row per n. Reports are plain data;
-output formats, rendering and exit-code policy live in the cli module.
-rt-recurrences, corollary and theorem2 compare whole rows, dz-expansion
-the iterates' coefficient dicts and beeler each route's unreduced integer
-pair; only a row or point that differs goes through _Tally.check, which
-builds failure records that keep every value as an exact decimal string (a
-row is written as a list, [1, 5, 4]), so reports serialize without
-floating point. A wrong-length row gives records unless it only adds zeros.
+r_row/t_row into Pascal's row n, R at odd j and T at even j, to check one
+identity whose records still name R or T and k; corollary and dz-expansion
+make one closed M and N row per n. Reports are plain data; output formats,
+rendering and exit-code policy live in the cli module. rt-recurrences,
+corollary and theorem2 compare whole rows, dz-expansion the iterates'
+coefficient dicts and beeler each route's unreduced integer pair; only a
+row or point that differs goes through _Tally.check, which builds failure
+records that keep every value as an exact decimal string (a row is written
+as a list, [1, 5, 4]), so reports serialize without floating point. A
+wrong-length row gives records unless it only adds zeros.
 
 The embedded rows are the first five rows of A056242 (k-part
 order-consecutive partition counts) and of A210753. They are test data,
@@ -25,7 +26,7 @@ published rows verbatim.
 
 from __future__ import annotations
 
-from itertools import count, pairwise, zip_longest
+from itertools import chain, count, pairwise, zip_longest
 from typing import Callable, Mapping, NamedTuple
 
 from .exact import GaussianInt
@@ -89,28 +90,26 @@ class _Tally:
 
 
 def verify_rt_recurrences(max_n: int) -> VerifyReport:
-    """Check n*R(n+1,k) and n*T(n+1,k) against their two-term recurrences.
+    """Check n*R(n+1,k) and n*T(n+1,k) against their two-term recurrences, as
+    one identity on Pascal's row n: n*C(n+1,j) = (n+j)*C(n,j) + (n-j+2)*C(n,j-2).
 
     Runs for 1 <= n <= max_n with k covering the full row plus one index on
     each side, so the out-of-range zero convention is exercised too. Row m,
-    read once through r_row/t_row, is padded with zeros to every k it is read
-    at, whatever its length. Each side is a list over k; records (R, then T,
-    at each k) are made only at an n where a pair of lists differs.
+    read once through r_row/t_row, becomes Pascal's row m (T(m,k) at j = 2k,
+    R(m,k) at j = 2k+1, 0 past a half's end) plus m + 5 zeros. Records (R,
+    then T, at each k) come only from an n whose lists over j differ.
     """
     tally = _Tally("rt-recurrences", max_n, 1)
-    rows = ([[0, *row, *[0] * ((m + 1) // 2 + 2 - len(row))] for row in (r_row(m), t_row(m))] for m in count(1))
-    for n, ((r_n, t_n), (r_next, t_next)) in zip(range(1, max_n + 1), pairwise(rows)):
-        width = (n + 1) // 2 + 2
-        r_lhs = [n * c for c in r_next[1 : width + 1]]
-        r_rhs = [(n + 2 * k + 1) * a + (n - 2 * k + 1) * b for k, a, b in zip(range(width), r_n[1:], r_n)]
-        t_lhs = [n * c for c in t_next[1 : width + 1]]
-        t_rhs = [(n + 2 * k) * a + (n - 2 * k + 2) * b for k, a, b in zip(range(width), t_n[1:], t_n)]
-        if r_lhs == r_rhs and t_lhs == t_rhs:
-            tally.checked += 2 * width
+    rows = ([0, 0, *chain.from_iterable(zip_longest(t_row(m), r_row(m), fillvalue=0)), *[0] * (m + 5)] for m in count(1))
+    for n, (row, nxt) in zip(range(1, max_n + 1), pairwise(rows)):
+        size = 2 * ((n + 1) // 2 + 2)
+        lhs = [n * c for c in nxt[2 : size + 2]]
+        rhs = [(n + j) * a + (n - j + 2) * b for j, a, b in zip(range(size), row[2:], row)]
+        if lhs == rhs:
+            tally.checked += size
         else:
-            for k in range(width):
-                tally.check(r_lhs[k] == r_rhs[k], family="R", n=n, k=k, lhs=r_lhs[k], rhs=r_rhs[k])
-                tally.check(t_lhs[k] == t_rhs[k], family="T", n=n, k=k, lhs=t_lhs[k], rhs=t_rhs[k])
+            for j in (i ^ 1 for i in range(size)):
+                tally.check(lhs[j] == rhs[j], family="TR"[j % 2], n=n, k=j // 2, lhs=lhs[j], rhs=rhs[j])
     return tally.report()
 
 

@@ -158,6 +158,13 @@ class TestPolyBasics:
         with pytest.raises(ValueError):
             YZPoly({(0, -1): 1})
 
+    @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(0), 0.5, 0.0], ids=repr)
+    @pytest.mark.parametrize("cls, key", [(YPoly, 2), (YZPoly, (2, 1))], ids=["y", "yz"])
+    def test_non_int_coefficient_rejected(self, cls, key, c):
+        # a polynomial the constructor accepts must print, and the renderer takes only ints
+        with pytest.raises(TypeError):
+            cls({key: c})
+
     def test_arithmetic(self):
         p = YPoly({0: 1, 2: 1})
         assert p * p == YPoly({0: 1, 2: 2, 4: 1})

@@ -389,15 +389,52 @@ class TestFailureRecords:
         assert report.checked == checked
         assert [list(f.items()) for f in report.failures] == [list(record.items())]
 
-    @pytest.mark.parametrize("name", ["r_row", "t_row"])
-    @pytest.mark.parametrize("length", [2, 4], ids=["short", "long"])
-    def test_rt_row_of_wrong_length_gives_records(self, monkeypatch, name, length):
-        # row 5 of R and of T has three entries; it is cut to two or given a fourth, 1
-        real = getattr(verify, name)
-        monkeypatch.setattr(verify, name, lambda n: [*real(n), 1][:length] if n == 5 else real(n))
+    @pytest.mark.parametrize(
+        "lengths, records",
+        [
+            pytest.param((2, None), "R 4 2 0 4, R 5 2 30 20", id="short-r_row"),
+            pytest.param((4, None), "R 4 3 4 0, R 5 3 0 12, R 5 4 0 -2", id="long-r_row"),
+            pytest.param((None, 2), "T 4 2 0 20, T 5 2 75 30, T 5 3 5 0", id="short-t_row"),
+            pytest.param((None, 4), "T 4 3 4 0, T 5 3 5 16, T 5 4 0 -1", id="long-t_row"),
+            pytest.param((2, 2), "R 4 2 0 4, T 4 2 0 20, R 5 2 30 20, T 5 2 75 30, T 5 3 5 0", id="short-both-2"),
+            pytest.param(
+                (1, 1),
+                "R 4 1 0 40, T 4 1 0 40, R 4 2 0 4, T 4 2 0 20, R 5 1 100 20, "
+                "T 5 1 75 5, R 5 2 30 0, T 5 2 75 0, T 5 3 5 0",
+                id="short-both-1",
+            ),
+            pytest.param(
+                (0, 0),
+                "R 4 0 0 20, T 4 0 0 4, R 4 1 0 40, T 4 1 0 40, R 4 2 0 4, "
+                "T 4 2 0 20, R 5 0 30 0, T 5 0 5 0, R 5 1 100 0, T 5 1 75 0, "
+                "R 5 2 30 0, T 5 2 75 0, T 5 3 5 0",
+                id="short-both-0",
+            ),
+            pytest.param(
+                (4, 4), "R 4 3 4 0, T 4 3 4 0, R 5 3 0 12, T 5 3 5 16, R 5 4 0 -2, T 5 4 0 -1", id="long-both-4"
+            ),
+            pytest.param(
+                (6, 6), "R 4 3 4 0, T 4 3 4 0, R 5 3 0 12, T 5 3 5 16, R 5 4 0 12, T 5 4 0 12", id="long-both-6"
+            ),
+            pytest.param((2, 4), "R 4 2 0 4, T 4 3 4 0, R 5 2 30 20, T 5 3 5 16, T 5 4 0 -1", id="short-r-long-t"),
+            pytest.param(
+                (4, 2), "T 4 2 0 20, R 4 3 4 0, T 5 2 75 30, R 5 3 0 12, T 5 3 5 0, R 5 4 0 -2", id="long-r-short-t"
+            ),
+        ],
+    )
+    def test_rt_row_of_wrong_length_gives_records(self, monkeypatch, lengths, records):
+        # row 5 of R and of T has three entries; each half named by a length is cut
+        # to it or given 1s up to it, alone or with the other half, so neither
+        # half's padding can lean on the other's length. A record reads
+        # "family n k lhs rhs".
+        for name, length in zip(("r_row", "t_row"), lengths):
+            if length is not None:
+                real = getattr(verify, name)
+                monkeypatch.setattr(verify, name, lambda n, f=real, m=length: [*f(n), 1, 1, 1][:m] if n == 5 else f(n))
         report = run_suite("rt-recurrences", 7)
         assert report.checked == FAULTS["rt-recurrences"][3]
-        assert report.failures and {record["n"] for record in report.failures} == {"4", "5"}
+        fields = ("family", "n", "k", "lhs", "rhs")
+        assert [list(f.items()) for f in report.failures] == [list(zip(fields, r.split())) for r in records.split(", ")]
 
 
 class TestOneRoutePerFamily:
