@@ -49,7 +49,7 @@ derivation on such pairs. P_n and Q_n, and R_n and T_n on the operator
 route, are stepped as dense rows of one parity, where row[i] is the
 coefficient of y^(2i+e), and made YPoly only when drawn; _stride_poly is
 the one conversion from such a row. The closed form of R_n or T_n is such a
-row too: _binomial_closed_row makes it from triangles.r_row/t_row and sets
+row too: _binomial_closed_row makes it from triangles._rt_row(n, s) and sets
 its parity, r_poly_closed and t_poly_closed wrap it, theorem2 compares it. R_n,
 T_n come three ways that share no code: Horner's rule in w = 1 + y^2 on
 their binomial closed forms (r_poly_closed, t_poly_closed), the operator
@@ -68,7 +68,7 @@ import sys
 from itertools import chain, count, islice, pairwise, starmap
 from typing import Iterator, Mapping, NamedTuple
 
-from .triangles import _item, r_row, t_row
+from .triangles import _item, _rt_row
 
 
 class InternalInconsistencyError(Exception):
@@ -421,11 +421,11 @@ def _binomial_closed_row(n: int, s: int) -> tuple[list[int], int]:
     C(n, 2k+1-s) * y^(n-2k-1+s) * w^(floor((n-s)/2) + k), w = 1 + y^2, as
     (row, e), the row of its n coefficients of y^e, y^(e+2), ..., e = (n-1+s) % 2,
     the one place the parity is set. All terms have one degree in y^2, so Horner's
-    rule in w runs down row n of r_row/t_row from k = K, one shift-add a step.
+    rule in w runs down _rt_row(n, s) from k = K, one shift-add a step.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    row = (t_row if s else r_row)(n)
+    row = _rt_row(n, s)
     acc = row[-1:]
     for k in range(len(row) - 2, -((n - s) // 2) - 1, -1):
         acc = list(map(operator.add, acc + [0], [0] + acc))

@@ -1,13 +1,15 @@
 """The six exact coefficient triangles.
 
 Two binomial families: R(n, k) = C(n, 2k+1) and T(n, k) = C(n, 2k), the
-odd- and even-column halves of Pascal's triangle (A034867 and A034839),
-which the package reads only as the rows of r_row/t_row.
+odd- and even-column halves of Pascal's triangle (A034867 and A034839).
+Their rows come from one binomial row function, _rt_row(n, s), s = 0 for R
+and 1 for T, on math.comb; r_row and t_row wrap it, and the package reads
+the rows only through it. binom, r_coef and t_coef are the per-entry API.
 Two factorial-scaled families M and N, the coefficients of the iterated
 operator p -> d/dx(sec(x) * p) expanded over tan and sec monomials; they
 are computed from their two-term recurrences and, independently, from the
 closed forms n! * C(n+1, 2k+1) and n! * C(n+1, 2k): _mn_closed_row is n!
-times row n + 1 of R or T; m_closed/n_closed read one entry of it, and
+times _rt_row(n + 1, s); m_closed/n_closed read one entry of it, and
 the corollary and dz-expansion suites draw one row per n. The recurrence rows
 are the lazy sequences m_row_seq and n_row_seq of tuples, which m_row/n_row
 read and the corollary suite and triangle command sweep. _item is the one
@@ -49,18 +51,22 @@ def t_coef(n: int, k: int) -> int:
     return binom(n, 2 * k)
 
 
-def r_row(n: int) -> list[int]:
-    """Row n of the R triangle: C(n, j) for odd j <= n. Row 0 is empty."""
+def _rt_row(n: int, s: int) -> list[int]:
+    """Row n of R (s = 0) or T (s = 1): C(n, j) for j <= n of parity 1 - s,
+    the one binomial row function. Row 0 of R is empty."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return [binom(n, j) for j in range(1, n + 1, 2)]
+    return [math.comb(n, j) for j in range(1 - s, n + 1, 2)]
+
+
+def r_row(n: int) -> list[int]:
+    """Row n of the R triangle: C(n, j) for odd j <= n. Row 0 is empty."""
+    return _rt_row(n, 0)
 
 
 def t_row(n: int) -> list[int]:
     """Row n of the T triangle: C(n, j) for even j <= n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return [binom(n, j) for j in range(0, n + 1, 2)]
+    return _rt_row(n, 1)
 
 
 def _mn_row_seq(s: int) -> Iterator[tuple[int, ...]]:
@@ -143,7 +149,7 @@ def _mn_closed_row(n: int, s: int) -> tuple[int, ...]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     scale = math.factorial(n)
-    return tuple(scale * c for c in (t_row if s else r_row)(n + 1))
+    return tuple(scale * c for c in _rt_row(n + 1, s))
 
 
 def _row_entry(row: tuple[int, ...], k: int) -> int:

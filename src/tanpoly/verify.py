@@ -6,16 +6,17 @@ failed. The iterated routes are the lazy sequences symbolic and triangles
 own; a suite zips each sequence once against range(...), range first, so
 no item past max_n is drawn, and steps only the plain diff route of
 hoffman itself. Each reference value is read once: rt-recurrences reads
-r_row/t_row into Pascal's row n, R at odd j and T at even j, to check one
-identity whose records still name R or T and k; corollary and dz-expansion
-make one closed M and N row per n. Reports are plain data; output formats,
-rendering and exit-code policy live in the cli module. rt-recurrences,
-corollary and theorem2 compare whole rows, dz-expansion the iterates'
-coefficient dicts and beeler each route's unreduced integer pair; only a
-row or point that differs goes through _Tally.check, which builds failure
-records that keep every value as an exact decimal string (a row is written
-as a list, [1, 5, 4]), so reports serialize without floating point. A
-wrong-length row gives records unless it only adds zeros.
+_rt_row(n, 0) and _rt_row(n, 1) once each into Pascal's row n, R at odd j
+and T at even j, to check one identity whose records still name R or T and
+k; corollary and dz-expansion make one closed M and N row per n. Reports
+are plain data; output formats, rendering and exit-code policy live in the
+cli module. rt-recurrences, corollary and theorem2 compare whole rows,
+dz-expansion the iterates' coefficient dicts and beeler each route's
+unreduced integer pair; only a row or point that differs goes through
+_Tally.check, which builds failure records that keep every value as an
+exact decimal string (a row is written as a list, [1, 5, 4]), so reports
+serialize without floating point. A wrong-length row gives records unless
+it only adds zeros.
 
 The embedded rows are the first five rows of A056242 (k-part
 order-consecutive partition counts) and of A210753. They are test data,
@@ -33,7 +34,7 @@ from .exact import GaussianInt
 from .multiangle import DEFAULT_GRID, _addition_pairs, _alternating_sums, _pair_value
 from .symbolic import ReducedPair, YPoly, YZPoly, diff, dz_seq, hoffman_p_seq, hoffman_q_seq, reduce_z
 from .symbolic import _binomial_closed_row, _dz_rows, _stride_poly
-from .triangles import _mn_closed_row, m_row_seq, n_row_seq, r_row, t_row, tilde_rows
+from .triangles import _mn_closed_row, _rt_row, m_row_seq, n_row_seq, tilde_rows
 
 RTILDE_GOLDEN: tuple[tuple[int, ...], ...] = (
     (1,),
@@ -95,20 +96,25 @@ def verify_rt_recurrences(max_n: int) -> VerifyReport:
 
     Runs for 1 <= n <= max_n with k covering the full row plus one index on
     each side, so the out-of-range zero convention is exercised too. Row m,
-    read once through r_row/t_row, becomes Pascal's row m (T(m,k) at j = 2k,
-    R(m,k) at j = 2k+1, 0 past a half's end) plus m + 5 zeros. Records (R,
-    then T, at each k) come only from an n whose lists over j differ.
+    read once through _rt_row(m, 1) and _rt_row(m, 0), becomes Pascal's row m
+    (T(m,k) at j = 2k, R(m,k) at j = 2k+1, 0 past a half's end). The lists
+    over j reach past the last entry of rows n and n + 1, so a row too long
+    by a nonzero entry anywhere differs; a passing n counts the
+    2*((n+1)//2 + 2) entries of its full row. Records (R, then T, at each k)
+    come only from an n whose lists differ, one per entry walked.
     """
     tally = _Tally("rt-recurrences", max_n, 1)
-    rows = ([0, 0, *chain.from_iterable(zip_longest(t_row(m), r_row(m), fillvalue=0)), *[0] * (m + 5)] for m in count(1))
+    rows = ([0, 0, *chain.from_iterable(zip_longest(_rt_row(m, 1), _rt_row(m, 0), fillvalue=0))] for m in count(1))
     for n, (row, nxt) in zip(range(1, max_n + 1), pairwise(rows)):
         size = 2 * ((n + 1) // 2 + 2)
-        lhs = [n * c for c in nxt[2 : size + 2]]
-        rhs = [(n + j) * a + (n - j + 2) * b for j, a, b in zip(range(size), row[2:], row)]
+        width = (max(size, len(row), len(nxt) - 2) + 1) // 2 * 2
+        row, nxt = row + [0] * width, nxt + [0] * width
+        lhs = [n * c for c in nxt[2 : width + 2]]
+        rhs = [(n + j) * a + (n - j + 2) * b for j, a, b in zip(range(width), row[2:], row)]
         if lhs == rhs:
             tally.checked += size
         else:
-            for j in (i ^ 1 for i in range(size)):
+            for j in (i ^ 1 for i in range(width)):
                 tally.check(lhs[j] == rhs[j], family="TR"[j % 2], n=n, k=j // 2, lhs=lhs[j], rhs=rhs[j])
     return tally.report()
 

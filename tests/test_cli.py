@@ -64,6 +64,18 @@ def readme_examples() -> list[tuple[str, str]]:
 README_EXAMPLES = readme_examples()
 
 
+def readme_library() -> tuple[str, list[tuple[str, str]]]:
+    """The lines of the README's Library block that carry no comment, and
+    (expression, comment) for each line that ends in a `# ...` comment."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0].splitlines()
+    setup = "\n".join(line for line in lines if "#" not in line)
+    return setup, [tuple(part.strip() for part in line.split("#", 1)) for line in lines if "#" in line]
+
+
+README_SETUP, README_LIBRARY = readme_library()
+
+
 class TestTriangleCommand:
     def test_rtilde_table(self, capsys):
         code, out, _ = run_cli(capsys, "triangle", "--name", "Rtilde", "--rows", "5")
@@ -346,6 +358,14 @@ class TestHarness:
     @pytest.mark.parametrize("command, want", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])
     def test_readme_example(self, capsys, command, want):
         assert run_cli(capsys, *command.split()) == (0, want, "")
+
+    @pytest.mark.parametrize("expression, comment", README_LIBRARY, ids=[e for e, _ in README_LIBRARY])
+    def test_readme_library_line(self, expression, comment):
+        # the comment opens with the repr of the line's value; what follows a comma is a remark
+        namespace: dict = {}
+        exec(README_SETUP, namespace)
+        value = repr(eval(expression, namespace))
+        assert comment == value or comment.startswith(value + ", ")
 
     def test_missing_subcommand_exits_2(self, capsys):
         assert run_cli(capsys)[0] == 2

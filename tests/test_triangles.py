@@ -15,6 +15,7 @@ import pytest
 from tanpoly import symbolic
 from tanpoly.triangles import (
     _mn_closed_row,
+    _rt_row,
     binom,
     m_closed,
     m_row,
@@ -92,8 +93,8 @@ class TestRTCoefficients:
         rows = pascal_rows(60)
         for n in range(61):
             odd, even = rows[n][1::2], rows[n][0::2]
-            assert r_row(n) == odd, n
-            assert t_row(n) == even, n
+            assert r_row(n) == _rt_row(n, 0) == odd, n
+            assert t_row(n) == _rt_row(n, 1) == even, n
             for k in range(-2, n // 2 + 3):
                 assert r_coef(n, k) == (odd[k] if 0 <= k < len(odd) else 0), (n, k)
                 assert t_coef(n, k) == (even[k] if 0 <= k < len(even) else 0), (n, k)

@@ -118,10 +118,6 @@ class TestRegistry:
         assert all(r.passed for r in reports)
 
 
-def plus_one(value):
-    return value + 1
-
-
 def inject(at, spoil):
     """A patch that makes a function return a spoiled value at the arguments `at`.
 
@@ -169,12 +165,12 @@ def spoil_draw(i, change, *at):
 
 
 def spoil_coef(*at):
-    """A patch for binom that adds 1 to its value at each (n, j) in at."""
+    """A patch for _rt_row that adds 1 to C(n, j) at each (n, j) in at, which is
+    entry j // 2 of row n of R (s = 0) for odd j and of T (s = 1) for even j."""
 
     def patch(real):
-        def patched(n, j):
-            value = real(n, j)
-            return value + 1 if (n, j) in at else value
+        def patched(n, s):
+            return [c + ((n, 2 * k + 1 - s) in at) for k, c in enumerate(real(n, s))]
 
         return patched
 
@@ -198,13 +194,14 @@ def spoil_power(base, n, value):
 
 # suite: (module and name of the function spoiled, the patch, checked at
 # max_n = 7, the one failure record expected, keys in order). The
+# rt-recurrences entry spoils C(8, 5) = R(8, 2) where _rt_row makes it. The
 # dz-expansion entry spoils M(3, 1) in the closed M row of n = 3. The hoffman
 # entry spoils the row step from P_2 = 2y + 2y^3 to P_3 and the theorem2
 # entry the operator step from R_3 = 1 + 5y^2 + 4y^4 to R_4; both live in
 # symbolic, behind hoffman_p and r_poly_dz.
 FAULTS = {
     "rt-recurrences": (
-        triangles, "binom", inject((8, 5), plus_one), 60,
+        verify, "_rt_row", spoil_coef((8, 5)), 60,
         {"family": "R", "n": "7", "k": "2", "lhs": "399", "rhs": "392"},
     ),
     "corollary": (
@@ -259,7 +256,7 @@ FAULTS = {
 # earlier one.
 MULTI_FAULTS = {
     "rt-recurrences": (
-        [(triangles, "binom", spoil_coef((8, 3), (8, 7), (8, 2), (8, 6)))],
+        [(verify, "_rt_row", spoil_coef((8, 3), (8, 7), (8, 2), (8, 6)))],
         [
             {"family": "R", "n": "7", "k": "1", "lhs": "399", "rhs": "392"},
             {"family": "T", "n": "7", "k": "1", "lhs": "203", "rhs": "196"},
@@ -295,7 +292,7 @@ MULTI_FAULTS = {
         ],
     ),
     "theorem2": (
-        [(triangles, "binom", spoil_coef((4, 3), (4, 2)))],
+        [(symbolic, "_rt_row", spoil_coef((4, 3), (4, 2)))],
         [
             {"family": "R", "n": "4", "closed": "5y + 19y^3 + 23y^5 + 9y^7", "operator": "4y + 16y^3 + 20y^5 + 8y^7"},
             {"family": "T", "n": "4", "closed": "1 + 10y^2 + 18y^4 + 9y^6", "operator": "1 + 9y^2 + 16y^4 + 8y^6"},
@@ -390,49 +387,73 @@ class TestFailureRecords:
         assert [list(f.items()) for f in report.failures] == [list(record.items())]
 
     @pytest.mark.parametrize(
-        "lengths, records",
+        "rows, checked, records",
         [
-            pytest.param((2, None), "R 4 2 0 4, R 5 2 30 20", id="short-r_row"),
-            pytest.param((4, None), "R 4 3 4 0, R 5 3 0 12, R 5 4 0 -2", id="long-r_row"),
-            pytest.param((None, 2), "T 4 2 0 20, T 5 2 75 30, T 5 3 5 0", id="short-t_row"),
-            pytest.param((None, 4), "T 4 3 4 0, T 5 3 5 16, T 5 4 0 -1", id="long-t_row"),
-            pytest.param((2, 2), "R 4 2 0 4, T 4 2 0 20, R 5 2 30 20, T 5 2 75 30, T 5 3 5 0", id="short-both-2"),
+            pytest.param(([5, 10], None), 60, "R 4 2 0 4, R 5 2 30 20", id="short-r_row"),
+            pytest.param(([5, 10, 1, 1], None), 60, "R 4 3 4 0, R 5 3 0 12, R 5 4 0 -2", id="long-r_row"),
+            pytest.param((None, [1, 10]), 60, "T 4 2 0 20, T 5 2 75 30, T 5 3 5 0", id="short-t_row"),
+            pytest.param((None, [1, 10, 5, 1]), 60, "T 4 3 4 0, T 5 3 5 16, T 5 4 0 -1", id="long-t_row"),
             pytest.param(
-                (1, 1),
+                ([5, 10], [1, 10]), 60, "R 4 2 0 4, T 4 2 0 20, R 5 2 30 20, T 5 2 75 30, T 5 3 5 0", id="short-both-2"
+            ),
+            pytest.param(
+                ([5], [1]),
+                60,
                 "R 4 1 0 40, T 4 1 0 40, R 4 2 0 4, T 4 2 0 20, R 5 1 100 20, "
                 "T 5 1 75 5, R 5 2 30 0, T 5 2 75 0, T 5 3 5 0",
                 id="short-both-1",
             ),
             pytest.param(
-                (0, 0),
+                ([], []),
+                60,
                 "R 4 0 0 20, T 4 0 0 4, R 4 1 0 40, T 4 1 0 40, R 4 2 0 4, "
                 "T 4 2 0 20, R 5 0 30 0, T 5 0 5 0, R 5 1 100 0, T 5 1 75 0, "
                 "R 5 2 30 0, T 5 2 75 0, T 5 3 5 0",
                 id="short-both-0",
             ),
             pytest.param(
-                (4, 4), "R 4 3 4 0, T 4 3 4 0, R 5 3 0 12, T 5 3 5 16, R 5 4 0 -2, T 5 4 0 -1", id="long-both-4"
+                ([5, 10, 1, 1], [1, 10, 5, 1]),
+                60,
+                "R 4 3 4 0, T 4 3 4 0, R 5 3 0 12, T 5 3 5 16, R 5 4 0 -2, T 5 4 0 -1",
+                id="long-both-4",
             ),
             pytest.param(
-                (6, 6), "R 4 3 4 0, T 4 3 4 0, R 5 3 0 12, T 5 3 5 16, R 5 4 0 12, T 5 4 0 12", id="long-both-6"
+                ([5, 10, 1, 1, 1, 1], [1, 10, 5, 1, 1, 1]),
+                68,
+                "R 4 3 4 0, T 4 3 4 0, R 4 4 4 0, T 4 4 4 0, R 4 5 4 0, T 4 5 4 0, "
+                "R 5 3 0 12, T 5 3 5 16, R 5 4 0 12, T 5 4 0 12, R 5 5 0 12, T 5 5 0 12, R 5 6 0 -6, T 5 6 0 -5",
+                id="long-both-6",
             ),
-            pytest.param((2, 4), "R 4 2 0 4, T 4 3 4 0, R 5 2 30 20, T 5 3 5 16, T 5 4 0 -1", id="short-r-long-t"),
             pytest.param(
-                (4, 2), "T 4 2 0 20, R 4 3 4 0, T 5 2 75 30, R 5 3 0 12, T 5 3 5 0, R 5 4 0 -2", id="long-r-short-t"
+                ([5, 10], [1, 10, 5, 1]),
+                60,
+                "R 4 2 0 4, T 4 3 4 0, R 5 2 30 20, T 5 3 5 16, T 5 4 0 -1",
+                id="short-r-long-t",
+            ),
+            pytest.param(
+                ([5, 10, 1, 1], [1, 10]),
+                60,
+                "T 4 2 0 20, R 4 3 4 0, T 5 2 75 30, R 5 3 0 12, T 5 3 5 0, R 5 4 0 -2",
+                id="long-r-short-t",
+            ),
+            pytest.param(
+                ([5, 10, 1, 0, 0, 7], None), 68, "R 4 5 28 0, R 5 5 0 112, R 5 6 0 -42", id="long-r_row-far-entry"
+            ),
+            pytest.param(
+                (None, [1, 10, 5, 0, 0, 0, 9]), 72, "T 4 6 36 0, T 5 6 0 153, T 5 7 0 -63", id="long-t_row-far-entry"
             ),
         ],
     )
-    def test_rt_row_of_wrong_length_gives_records(self, monkeypatch, lengths, records):
-        # row 5 of R and of T has three entries; each half named by a length is cut
-        # to it or given 1s up to it, alone or with the other half, so neither
-        # half's padding can lean on the other's length. A record reads
-        # "family n k lhs rhs".
-        for name, length in zip(("r_row", "t_row"), lengths):
-            if length is not None:
-                real = getattr(verify, name)
-                monkeypatch.setattr(verify, name, lambda n, f=real, m=length: [*f(n), 1, 1, 1][:m] if n == 5 else f(n))
+    def test_rt_row_of_wrong_length_gives_records(self, monkeypatch, rows, checked, records):
+        # row 5 of R, [5, 10, 1], and of T, [1, 10, 5], is cut short or given more
+        # entries, alone or with the other half, so neither half's padding can
+        # lean on the other's length. A nonzero entry anywhere past a row's end
+        # gives records, and each n that differs counts every entry it walks.
+        # A record reads "family n k lhs rhs".
+        real = verify._rt_row
+        monkeypatch.setattr(verify, "_rt_row", lambda n, s: real(n, s) if n != 5 or rows[s] is None else rows[s])
         report = run_suite("rt-recurrences", 7)
-        assert report.checked == FAULTS["rt-recurrences"][3]
+        assert report.checked == checked
         fields = ("family", "n", "k", "lhs", "rhs")
         assert [list(f.items()) for f in report.failures] == [list(zip(fields, r.split())) for r in records.split(", ")]
 
@@ -462,17 +483,18 @@ class TestOneRoutePerFamily:
         assert json_failures("theorem2", capsys) == [list(record.items())]
 
     def test_rt_recurrences_theorem2_and_triangle_share_the_r_rows(self, monkeypatch, capsys):
-        # Row 5 of R, [5, 10, 1], loses its last entry where r_row makes it.
-        # symbolic and verify hold the function triangles defines, so all three
-        # references are patched with the one spoiled function.
-        assert verify.r_row is symbolic.r_row is triangles.r_row
-        real = triangles.r_row
+        # Row 5 of R, [5, 10, 1], loses its last entry where _rt_row makes it.
+        # r_row reads it in triangles, and symbolic and verify hold the function
+        # triangles defines, so all three references are patched with the one
+        # spoiled function.
+        assert verify._rt_row is symbolic._rt_row is triangles._rt_row
+        real = triangles._rt_row
 
-        def spoiled(n):
-            return real(n)[:-1] if n == 5 else real(n)
+        def spoiled(n, s):
+            return real(n, s)[:-1] if (n, s) == (5, 0) else real(n, s)
 
         for module in (triangles, symbolic, verify):
-            monkeypatch.setattr(module, "r_row", spoiled)
+            monkeypatch.setattr(module, "_rt_row", spoiled)
         assert cli.main(["triangle", "--name", "R", "--rows", "7", "--format", "csv"]) == 0
         assert capsys.readouterr().out == "\n1\n2\n3,1\n4,4\n5,10\n6,20,6\n"
         records = [
@@ -607,19 +629,41 @@ class TestLinearWork:
 
     @pytest.mark.parametrize("m", [1, 7, 30])
     def test_rt_recurrences_reads_each_binomial_once(self, monkeypatch, m):
+        # each R and T row, m = 1 .. max_n + 1, is made once
         reads = Counter()
-        for name in ("binom", "r_coef", "t_coef"):
+        real = verify._rt_row
 
-            def counted(n, j, name=name, real=getattr(triangles, name)):
-                reads[name, n, j] += 1
-                return real(n, j)
+        def counted(n, s):
+            reads[n, s] += 1
+            return real(n, s)
 
-            monkeypatch.setattr(triangles, name, counted)
+        monkeypatch.setattr(verify, "_rt_row", counted)
         assert verify.verify_rt_recurrences(m).passed
-        # the rows take each entry straight from binom, not through r_coef/t_coef
-        assert {name for name, _, _ in reads} == {"binom"}
-        assert set(reads.values()) == {1}
-        assert {n for _, n, _ in reads} == set(range(1, m + 2))
+        assert reads == {(n, s): 1 for n in range(1, m + 2) for s in (0, 1)}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--suite", "all", "--max-n", "30"),
+            ("triangle", "--name", "R", "--rows", "30"),
+            ("triangle", "--name", "T", "--rows", "30"),
+        ],
+        ids=["verify-all", "triangle-R", "triangle-T"],
+    )
+    def test_no_row_path_calls_binom(self, monkeypatch, capsys, argv):
+        # every R and T row comes from _rt_row, which takes no per-entry call;
+        # r_coef and t_coef read binom too, so they are spied on with it
+        calls = Counter()
+        real = triangles.binom
+
+        def counted(n, j):
+            calls[n, j] += 1
+            return real(n, j)
+
+        monkeypatch.setattr(triangles, "binom", counted)
+        assert cli.main(list(argv)) == 0
+        assert capsys.readouterr().out
+        assert calls == {}
 
     @pytest.mark.parametrize("m", [7, 30])
     def test_corollary(self, monkeypatch, m):
