@@ -18,18 +18,31 @@ each n, and is the recurrence route of R_n and T_n.
 Each iterated route is one lazy sequence, which takes a step only when its
 next item is drawn: dz_seq (apply_dz, which maps each monomial of p to
 those of diff(z * p) directly), hoffman_p_seq/hoffman_q_seq
-(_hoffman_step on parity-stride rows) and r_poly_dz_seq/t_poly_dz_seq
-(_dz_step on parity-stride rows). dz_iter, hoffman_p/q and
-r_poly_dz/t_poly_dz return item n (n-1 for R and T) of theirs through
-triangles._item, the one per-n lookup, and make only that item a YPoly.
-The verify suites sweep the sequences.
+(_scaled_step on factorial-scaled parity-stride rows) and
+r_poly_dz_seq/t_poly_dz_seq (_dz_step on parity-stride rows). dz_iter,
+hoffman_p/q and r_poly_dz/t_poly_dz return item n (n-1 for R and T) of
+theirs through triangles._item, the one per-n lookup, and make only that
+item a YPoly. The verify suites sweep the sequences.
+
+P and Q are stepped on rows divided by factorials. With U_n = P_n', so that
+P_0 = y and P_(n+1) = (1 + y^2) * U_n, write Q_n[j] = j! * v_j and
+U_n[j] = (j+1)! * v_j. Both scaled rows step by
+v'_j = (j+1)(j+2-s) * v_(j+1) + v_(j-1) from the row [1] at y^0, s = 0 for
+P and 1 for Q: _scaled_rows(s) keeps the small weights (j+1)(j+2-s) of
+each parity in one list and _scaled_step takes them. A scaled row holds
+about half the bits of its member, and there is no division. _unscale
+multiplies the factorials back in, and for P takes the one shift-add for
+1 + y^2, only for a row that is drawn: hoffman_p/q scale back one row, and
+hoffman_p_seq/hoffman_q_seq, which draw every row, carry the factorials
+across the sweep.
 
 The operator route to R_n and T_n runs in the quotient ring. Only one part
 of each reduced iterate is nonzero, so it is carried as one row, divided
 by (n-1)! as member n: z*(z*g) = (1 + y^2)*g is z-free and z*f is the z
 part of f, after which the derivative is the P or the Q step of
-_hoffman_step. _dz_step takes that step and divides by n, exactly, to reach
-member n+1; no iterate is reduced and no coefficient grows by a factorial.
+_hoffman_step, on unscaled rows. _dz_step takes that step and divides by
+n, exactly, to reach member n+1; no iterate is reduced and no coefficient
+grows by a factorial.
 reduce_z, which reduces a whole YZPoly, serves the hoffman suite and the
 tests, which pin the reduction of the iterates of dz_seq to these rows.
 
@@ -45,9 +58,9 @@ int -> str digit limit, and by halves, to the same text, while the limit is
 lifted, as in the CLI.
 ReducedPair (f, g) is the canonical representative f(y) + z*g(y) of a
 YZPoly in the quotient ring Z[y, z]/(z^2 - 1 - y^2); reduced_diff is the
-derivation on such pairs. P_n and Q_n, and R_n and T_n on the operator
-route, are stepped as dense rows of one parity, where row[i] is the
-coefficient of y^(2i+e), and made YPoly only when drawn; _stride_poly is
+derivation on such pairs. P_n and Q_n, scaled, and R_n and T_n on the
+operator route, are stepped as dense rows of one parity, where row[i] is
+the entry at y^(2i+e), and made YPoly only when drawn; _stride_poly is
 the one conversion from such a row. The closed form of R_n or T_n is such a
 row too: _binomial_closed_row makes it from triangles._rt_row(n, s) and sets
 its parity, r_poly_closed and t_poly_closed wrap it, theorem2 compares it. R_n,
@@ -65,8 +78,8 @@ from __future__ import annotations
 
 import operator
 import sys
-from itertools import chain, count, islice, pairwise, starmap
-from typing import Iterator, Mapping, NamedTuple
+from itertools import accumulate, chain, count, islice, pairwise, starmap
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .triangles import _item, _rt_row
 
@@ -352,8 +365,10 @@ def reduced_diff(pair: ReducedPair) -> ReducedPair:
 
 def _hoffman_step(row: list[int], e: int, s: int) -> list[int]:
     """One derivative step on a parity-stride row, row[i] the coefficient of
-    y^(2i+e): c*y^a -> a*c*y^(a-1) + (a+s)*c*y^(a+1), with s = 0 for P and
-    s = 1 for Q (_dz_step takes both). The result has parity 1 - e. Entry j
+    y^(2i+e): c*y^a -> a*c*y^(a-1) + (a+s)*c*y^(a+1), with s = 0 for the
+    P step and s = 1 for the Q step. It is the step of the operator route
+    only, which _dz_step takes with s = e; P and Q themselves are stepped
+    on scaled rows by _scaled_step. The result has parity 1 - e. Entry j
     sums the a*c of its two neighbours, so each a*c is made once and fed to
     both through pairwise; s adds the old row one place up. For e = 0 the
     first sum holds only 0*c and is dropped."""
@@ -363,12 +378,60 @@ def _hoffman_step(row: list[int], e: int, s: int) -> list[int]:
     return list(islice(sums, 1 - e, None))
 
 
-def _hoffman_rows(s: int) -> Iterator[tuple[list[int], int]]:
-    """(row, parity) of P_0, P_1, ... (s = 0) or Q_0, Q_1, ... (s = 1) by _hoffman_step from y^(1-s)."""
-    row, e = [1], 1 - s
+def _scaled_step(row: list[int], e: int, weights: list[int]) -> list[int]:
+    """One step of a factorial-scaled row, row[i] = v_j at j = 2i+e:
+
+        v'_j = (j+1)(j+2-s) * v_(j+1) + v_(j-1),
+
+    s = 0 for U = P' and s = 1 for Q. Q_(n+1)[j] = (j+1)*Q_n[j+1] + j*Q_n[j-1]
+    and U_(n+1)[j] = (j+1)*(U_n[j+1] + U_n[j-1]) become this step once
+    Q_n[j] = j! * v_j and U_n[j] = (j+1)! * v_j: each entry is one product
+    by a small int and one sum, with no division. weights[i] is the small
+    int (j+1)(j+2-s) at j = 2i+1-e, len(row) - 1 + e of them, as
+    _scaled_rows(s) keeps them. The result has parity 1 - e; for e = 0 its
+    last entry is the old last one, and for e = 1 it gains one entry, the
+    old last one."""
+    products = map(operator.mul, weights, islice(row, 1 - e, None))
+    return list(map(operator.add, chain(products, (0,)), chain((0,) * e, row)))
+
+
+def _scaled_rows(s: int) -> Iterator[tuple[list[int], int]]:
+    """(row, parity) of U_0, U_1, ... (s = 0) or Q_0, Q_1, ... (s = 1) divided
+    by their factorials, by _scaled_step from the row [1] at y^0. The
+    weights of the steps from each parity are one list, grown by the one
+    weight a step needs beyond the last step from that parity."""
+    row, e = [1], 0
+    weights: tuple[list[int], list[int]] = ([], [])
     while True:
         yield row, e
-        row, e = _hoffman_step(row, e, s), 1 - e
+        w = weights[e]
+        w.extend((j + 1) * (j + 2 - s) for j in range(2 * len(w) + 1 - e, 2 * len(row) - 2 + e, 2))
+        row, e = _scaled_step(row, e, w), 1 - e
+
+
+def _unscale(row: list[int], e: int, s: int, factorials: Iterable[int]) -> tuple[list[int], int]:
+    """(row, parity) of P_(n+1) (s = 0) or Q_n (s = 1) from item n of
+    _scaled_rows(s). factorials yields 0!, 1!, 2!, ...; entry i is multiplied
+    by (2i+e+1-s)!, which gives Q_n or U_n, and P_(n+1) = (1 + y^2) * U_n is
+    one shift-add, taken as the entries of U are made, so only the scaled
+    row and the result are held."""
+    coef = map(operator.mul, islice(factorials, e + 1 - s, None, 2), row)
+    if not s:
+        coef = starmap(operator.add, pairwise(chain((0,), coef, (0,))))
+    return list(coef), e
+
+
+def _hoffman_rows(s: int) -> Iterator[tuple[list[int], int]]:
+    """(row, parity) of P_0, P_1, ... (s = 0) or Q_0, Q_1, ... (s = 1): P_0 = y,
+    then each item of _scaled_rows(s) scaled back by _unscale, with the
+    factorials carried across the sweep."""
+    if not s:
+        yield [1], 1
+    factorials = [1]
+    for row, e in _scaled_rows(s):
+        while len(factorials) < 2 * len(row) + e - s:
+            factorials.append(factorials[-1] * len(factorials))
+        yield _unscale(row, e, s, factorials)
 
 
 def _stride_poly(row: list[int], e: int) -> YPoly:
@@ -377,25 +440,36 @@ def _stride_poly(row: list[int], e: int) -> YPoly:
 
 
 def hoffman_p_seq() -> Iterator[YPoly]:
-    """P_0, P_1, ...: the rows stepped from P_0 = y."""
+    """P_0, P_1, ...: P_0 = y, then the scaled rows of U = P' stepped from 1."""
     return starmap(_stride_poly, _hoffman_rows(0))
 
 
 def hoffman_q_seq() -> Iterator[YPoly]:
-    """Q_0, Q_1, ...: the rows stepped from Q_0 = 1."""
+    """Q_0, Q_1, ...: the scaled rows stepped from Q_0 = 1."""
     return starmap(_stride_poly, _hoffman_rows(1))
 
 
 def hoffman_p(n: int) -> YPoly:
     """Derivative polynomial of the tangent, item n of hoffman_p_seq:
     P_0 = y, P_{k+1} = (1+y^2) P_k'."""
-    return _stride_poly(*_item(_hoffman_rows(0), n))
+    return _hoffman_member(n, 0)
 
 
 def hoffman_q(n: int) -> YPoly:
     """Derivative polynomial of the secant, item n of hoffman_q_seq:
     Q_0 = 1, Q_{k+1} = (1+y^2) Q_k' + y Q_k."""
-    return _stride_poly(*_item(_hoffman_rows(1), n))
+    return _hoffman_member(n, 1)
+
+
+def _hoffman_member(n: int, s: int) -> YPoly:
+    """Member n of P (s = 0) or Q (s = 1), P_0 = y aside: item n - 1 + s of
+    _scaled_rows(s), the only row scaled back, with factorials made by a
+    running product that holds none of them. The scaled row is not named
+    here, so it is freed when _unscale returns, before the YPoly is built."""
+    if n == 0 == s:
+        return YPoly.y()
+    factorials = accumulate(count(1), operator.mul, initial=1)
+    return _stride_poly(*_unscale(*_item(_scaled_rows(s), n - 1 + s), s, factorials))
 
 
 def r_poly_closed(n: int) -> YPoly:

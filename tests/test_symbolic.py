@@ -38,6 +38,7 @@ from tanpoly.symbolic import (
     _dz_rows,
     _dz_step,
     _hoffman_rows,
+    _hoffman_step,
     _stride_poly,
     apply_dz,
     diff,
@@ -473,16 +474,42 @@ class TestHoffmanFamilies:
 
     @pytest.mark.parametrize("fn, n", [(hoffman_p, 1500), (hoffman_q, 800)], ids=["P-1500", "Q-800"])
     def test_step_holds_two_rows(self, fn, n):
-        # Only the old and the new row are alive during a step, so the peak
-        # stays near twice the result's coefficients; a step that first
-        # lists every a*c holds a third row and peaks at 3x or more.
+        # Only the old and the new scaled row are alive during a step, and only
+        # the last scaled row and the result while it is scaled back. A scaled
+        # row holds about half the bits of the result, so the peak stays near
+        # 1.6 times the result's coefficients; stepping the unscaled rows
+        # peaks just above 2x, and a step that first lists every a*c at 3x.
         tracemalloc.start()
         try:
             poly = fn(n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * sum(sys.getsizeof(c) for _, c in poly.terms())
+        assert peak < 2.0 * sum(sys.getsizeof(c) for _, c in poly.terms())
+
+    def test_factorial_scaled_rows(self):
+        # The scaled rows rest on Q_n[j] = j! * v_j and P_n = (1 + y^2) * U
+        # with U = P_(n-1)' and U[j] = (j+1)! * v_j, v integral; the leading
+        # coefficients are n!. U is taken from P_(n-1) by differentiating.
+        w = YPoly({0: 1, 2: 1})
+        prev = None
+        for n, p, q in zip(range(201), hoffman_p_seq(), hoffman_q_seq()):
+            assert all(c % math.factorial(j) == 0 for j, c in q.terms()), n
+            if n:
+                u = YPoly({a - 1: a * c for a, c in prev.terms() if a})
+                assert w * u == p, n
+                assert all(c % math.factorial(j + 1) == 0 for j, c in u.terms()), n
+            assert p.terms()[-1] == (n + 1, math.factorial(n)), n
+            assert q.terms()[-1] == (n, math.factorial(n)), n
+            prev = p
+
+    def test_large_n_against_the_plain_step(self):
+        # _hoffman_step, iterated from y and from 1, steps the unscaled rows
+        p, q = ([1], 1), ([1], 0)
+        for _ in range(1000):
+            p, q = (_hoffman_step(p[0], p[1], 0), 1 - p[1]), (_hoffman_step(q[0], q[1], 1), 1 - q[1])
+        assert hoffman_p(1000) == _stride_poly(*p)
+        assert hoffman_q(1000) == _stride_poly(*q)
 
     @pytest.mark.parametrize("n", range(21))
     def test_reduction_of_plain_derivatives(self, n):

@@ -196,9 +196,11 @@ def spoil_power(base, n, value):
 # max_n = 7, the one failure record expected, keys in order). The
 # rt-recurrences entry spoils C(8, 5) = R(8, 2) where _rt_row makes it. The
 # dz-expansion entry spoils M(3, 1) in the closed M row of n = 3. The hoffman
-# entry spoils the row step from P_2 = 2y + 2y^3 to P_3 and the theorem2
-# entry the operator step from R_3 = 1 + 5y^2 + 4y^4 to R_4; both live in
-# symbolic, behind hoffman_p and r_poly_dz.
+# entry spoils the scaled step from U_1 = P_2 / (1 + y^2) = 2y, the row [1]
+# at y^1 with the one P weight (0+1)(0+2) = 2, to U_2 = 2 + 6y^2, the row
+# [2, 1]; [3, 1] makes P_3 = 3 + 9y^2 + 6y^4.
+# The theorem2 entry spoils the operator step from R_3 = 1 + 5y^2 + 4y^4 to
+# R_4. Both live in symbolic, behind hoffman_p and r_poly_dz.
 FAULTS = {
     "rt-recurrences": (
         verify, "_rt_row", spoil_coef((8, 5)), 60,
@@ -218,12 +220,12 @@ FAULTS = {
         },
     ),
     "hoffman": (
-        symbolic, "_hoffman_step", inject(([2, 2], 1, 0), lambda row: [row[0] + 1, *row[1:]]), 16,
+        symbolic, "_scaled_step", inject(([1], 1, [2]), lambda row: [row[0] + 1, *row[1:]]), 16,
         {
             "family": "P",
             "n": "3",
             "got": "ReducedPair(f=YPoly({0: 2, 2: 8, 4: 6}), g=YPoly({}))",
-            "want": "3 + 8y^2 + 6y^4",
+            "want": "3 + 9y^2 + 6y^4",
         },
     ),
     "theorem2": (
@@ -466,7 +468,7 @@ class TestOneRoutePerFamily:
         module, name, patch, _, record = FAULTS["hoffman"]
         monkeypatch.setattr(module, name, patch(getattr(module, name)))
         assert cli.main(["poly", "--family", "P", "--n", "3"]) == 0
-        assert capsys.readouterr().out == "3 + 8y^2 + 6y^4\n"
+        assert capsys.readouterr().out == "3 + 9y^2 + 6y^4\n"
         assert json_failures("hoffman", capsys) == [list(record.items())]
 
     def test_theorem2_and_triangle_share_the_tilde_rows(self, monkeypatch, capsys):
@@ -539,7 +541,8 @@ class TestLinearWork:
     def calls(self, monkeypatch):
         # symbolic steps the sequences; verify steps the plain diff route of hoffman.
         calls = Counter()
-        spied = [(symbolic, name) for name in ("diff", "apply_dz", "reduce_z", "_hoffman_step", "_dz_step")]
+        names = ("diff", "apply_dz", "reduce_z", "_hoffman_step", "_scaled_step", "_dz_step")
+        spied = [(symbolic, name) for name in names]
         for module, name in (*spied, (verify, "diff")):
             real = getattr(module, name)
 
@@ -558,12 +561,15 @@ class TestLinearWork:
 
     @pytest.mark.parametrize("m", [7, 30])
     def test_hoffman(self, calls, m):
+        # P_0 = y takes no row and P_n is drawn from U_(n-1), so P takes m - 1
+        # scaled steps and Q takes m; the operator route's step is not taken.
         assert verify.verify_hoffman(m).passed
-        assert calls == {"diff": 2 * m, "_hoffman_step": 2 * m}
+        assert calls == {"diff": 2 * m, "_scaled_step": 2 * m - 1}
 
     @pytest.mark.parametrize("m", [7, 30])
     def test_theorem2(self, calls, m):
-        # Each _dz_step takes one _hoffman_step; no iterate is reduced.
+        # Each _dz_step takes one _hoffman_step; no iterate is reduced, and no
+        # P/Q row is stepped.
         assert verify.verify_closed_forms(m).passed
         assert calls == {"_dz_step": 2 * (m - 1), "_hoffman_step": 2 * (m - 1)}
 
@@ -708,19 +714,31 @@ class TestLinearWork:
 
 
 class TestPerNCall:
-    """r_poly_dz(n)/t_poly_dz(n) take n-1 row steps, reduce nothing and make
-    only the last row a YPoly."""
+    """r_poly_dz(n)/t_poly_dz(n) take n-1 operator row steps and hoffman_p(n)/
+    hoffman_q(n) n-1 and n scaled row steps; none reduces anything, and each
+    scales back and makes a YPoly of only the last row."""
 
-    @pytest.mark.parametrize("fn", [symbolic.r_poly_dz, symbolic.t_poly_dz], ids=["R", "T"])
-    @pytest.mark.parametrize("m", [7, 30])
-    def test_per_n_call(self, monkeypatch, fn, m):
+    @pytest.fixture
+    def calls(self, monkeypatch):
         calls = Counter()
-        for name in ("reduce_z", "apply_dz", "_dz_step", "_hoffman_step", "_stride_poly"):
+        names = ("reduce_z", "apply_dz", "_dz_step", "_hoffman_step", "_scaled_step", "_unscale", "_stride_poly")
+        for name in names:
 
             def counted(*args, name=name, real=getattr(symbolic, name)):
                 calls[name] += 1
                 return real(*args)
 
             monkeypatch.setattr(symbolic, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("fn", [symbolic.r_poly_dz, symbolic.t_poly_dz], ids=["R", "T"])
+    @pytest.mark.parametrize("m", [7, 30])
+    def test_per_n_call(self, calls, fn, m):
         fn(m)
         assert calls == {"_dz_step": m - 1, "_hoffman_step": m - 1, "_stride_poly": 1}
+
+    @pytest.mark.parametrize("fn, s", [(symbolic.hoffman_p, 0), (symbolic.hoffman_q, 1)], ids=["P", "Q"])
+    @pytest.mark.parametrize("m", [7, 30])
+    def test_hoffman_per_n_call(self, calls, fn, s, m):
+        fn(m)
+        assert calls == {"_scaled_step": m - 1 + s, "_unscale": 1, "_stride_poly": 1}
