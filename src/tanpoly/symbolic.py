@@ -31,18 +31,17 @@ v'_j = (j+1)(j+2-s) * v_(j+1) + v_(j-1) from the row [1] at y^0, s = 0 for
 P and 1 for Q: _scaled_rows(s) keeps the small weights (j+1)(j+2-s) of
 each parity in one list and _scaled_step takes them. A scaled row holds
 about half the bits of its member, and there is no division. _unscale
-multiplies the factorials back in, and for P takes the one shift-add for
-1 + y^2, only for a row that is drawn: hoffman_p/q scale back one row, and
-hoffman_p_seq/hoffman_q_seq, which draw every row, carry the factorials
-across the sweep.
+multiplies the factorials back in from a running product, and for P takes
+the one shift-add for 1 + y^2, only for a row that is drawn: hoffman_p/q
+scale back one row, and hoffman_p_seq/hoffman_q_seq every row they yield.
 
 The operator route to R_n and T_n runs in the quotient ring. Only one part
 of each reduced iterate is nonzero, so it is carried as one row, divided
 by (n-1)! as member n: z*(z*g) = (1 + y^2)*g is z-free and z*f is the z
-part of f, after which the derivative is the P or the Q step of
-_hoffman_step, on unscaled rows. _dz_step takes that step and divides by
-n, exactly, to reach member n+1; no iterate is reduced and no coefficient
-grows by a factorial.
+part of f, after which the derivative is one stencil on the row. _dz_step
+takes it and divides by n, exactly, to reach member n+1; no iterate is
+reduced and no coefficient grows by a factorial. reduced_diff is the
+unscaled reference the P/Q rows are tested against; no route calls it.
 reduce_z, which reduces a whole YZPoly, serves the hoffman suite and the
 tests, which pin the reduction of the iterates of dz_seq to these rows.
 
@@ -79,7 +78,7 @@ from __future__ import annotations
 import operator
 import sys
 from itertools import accumulate, chain, count, islice, pairwise, starmap
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .triangles import _item, _rt_row
 
@@ -363,21 +362,6 @@ def reduced_diff(pair: ReducedPair) -> ReducedPair:
     return ReducedPair(YPoly(f), YPoly(g))
 
 
-def _hoffman_step(row: list[int], e: int, s: int) -> list[int]:
-    """One derivative step on a parity-stride row, row[i] the coefficient of
-    y^(2i+e): c*y^a -> a*c*y^(a-1) + (a+s)*c*y^(a+1), with s = 0 for the
-    P step and s = 1 for the Q step. It is the step of the operator route
-    only, which _dz_step takes with s = e; P and Q themselves are stepped
-    on scaled rows by _scaled_step. The result has parity 1 - e. Entry j
-    sums the a*c of its two neighbours, so each a*c is made once and fed to
-    both through pairwise; s adds the old row one place up. For e = 0 the
-    first sum holds only 0*c and is dropped."""
-    sums = starmap(operator.add, pairwise(chain((0,), map(operator.mul, count(e, 2), row), (0,))))
-    if s:
-        sums = map(operator.add, sums, chain((0,), row))
-    return list(islice(sums, 1 - e, None))
-
-
 def _scaled_step(row: list[int], e: int, weights: list[int]) -> list[int]:
     """One step of a factorial-scaled row, row[i] = v_j at j = 2i+e:
 
@@ -409,12 +393,13 @@ def _scaled_rows(s: int) -> Iterator[tuple[list[int], int]]:
         row, e = _scaled_step(row, e, w), 1 - e
 
 
-def _unscale(row: list[int], e: int, s: int, factorials: Iterable[int]) -> tuple[list[int], int]:
+def _unscale(row: list[int], e: int, s: int) -> tuple[list[int], int]:
     """(row, parity) of P_(n+1) (s = 0) or Q_n (s = 1) from item n of
-    _scaled_rows(s). factorials yields 0!, 1!, 2!, ...; entry i is multiplied
-    by (2i+e+1-s)!, which gives Q_n or U_n, and P_(n+1) = (1 + y^2) * U_n is
-    one shift-add, taken as the entries of U are made, so only the scaled
-    row and the result are held."""
+    _scaled_rows(s). Entry i is multiplied by (2i+e+1-s)!, from a running
+    product that holds one factorial at a time, which gives Q_n or U_n;
+    P_(n+1) = (1 + y^2) * U_n is one shift-add, taken as the entries of U
+    are made, so only the scaled row and the result are held."""
+    factorials = accumulate(count(1), operator.mul, initial=1)
     coef = map(operator.mul, islice(factorials, e + 1 - s, None, 2), row)
     if not s:
         coef = starmap(operator.add, pairwise(chain((0,), coef, (0,))))
@@ -423,15 +408,11 @@ def _unscale(row: list[int], e: int, s: int, factorials: Iterable[int]) -> tuple
 
 def _hoffman_rows(s: int) -> Iterator[tuple[list[int], int]]:
     """(row, parity) of P_0, P_1, ... (s = 0) or Q_0, Q_1, ... (s = 1): P_0 = y,
-    then each item of _scaled_rows(s) scaled back by _unscale, with the
-    factorials carried across the sweep."""
+    then each item of _scaled_rows(s) scaled back by _unscale."""
     if not s:
         yield [1], 1
-    factorials = [1]
     for row, e in _scaled_rows(s):
-        while len(factorials) < 2 * len(row) + e - s:
-            factorials.append(factorials[-1] * len(factorials))
-        yield _unscale(row, e, s, factorials)
+        yield _unscale(row, e, s)
 
 
 def _stride_poly(row: list[int], e: int) -> YPoly:
@@ -463,13 +444,11 @@ def hoffman_q(n: int) -> YPoly:
 
 def _hoffman_member(n: int, s: int) -> YPoly:
     """Member n of P (s = 0) or Q (s = 1), P_0 = y aside: item n - 1 + s of
-    _scaled_rows(s), the only row scaled back, with factorials made by a
-    running product that holds none of them. The scaled row is not named
+    _scaled_rows(s), the only row scaled back. The scaled row is not named
     here, so it is freed when _unscale returns, before the YPoly is built."""
     if n == 0 == s:
         return YPoly.y()
-    factorials = accumulate(count(1), operator.mul, initial=1)
-    return _stride_poly(*_unscale(*_item(_scaled_rows(s), n - 1 + s), s, factorials))
+    return _stride_poly(*_unscale(*_item(_scaled_rows(s), n - 1 + s), s))
 
 
 def r_poly_closed(n: int) -> YPoly:
@@ -513,15 +492,18 @@ def _dz_step(row: list[int], e: int, n: int) -> list[int]:
 
     The (n-1)-th iterate is (n-1)! times member n, as the z part when e = 0
     and z-free when e = 1. apply_dz multiplies by z and differentiates: z*(z*g)
-    is the z-free w*g, whose derivative w*(w*g)' is the P step (s = 0); z*f
-    is the z part of f, whose derivative z*(w*f' + y*f) is the Q step (s = 1).
-    So s = e, the z part first takes one shift-add for w, and the result, the
-    n-th iterate over (n-1)!, is divided by n. A remainder raises
-    InternalInconsistencyError; nothing is truncated or rounded.
+    is the z-free w*g, whose derivative is w*(w*g)'; z*f is the z part of f,
+    whose derivative is z*(w*f' + y*f). With x the row of w*g (one shift-add)
+    or of f, both are one stencil on x: c*y^a -> a*c*y^(a-1) + (a+e)*c*y^(a+1),
+    so entry i, at y^(2i+1-e), is (2i+2-e)*x[i+1-e] + 2i*x[i-e] for
+    i < len(x) + e. That is the n-th iterate over (n-1)!, and each entry is
+    divided by n. A remainder raises InternalInconsistencyError; nothing is
+    truncated or rounded.
     """
-    stepped = _hoffman_step(row if e else list(map(operator.add, row + [0], [0] + row)), e, e)
+    x = row if e else list(map(operator.add, row + [0], [0] + row))
     quotient = []
-    for i, c in enumerate(stepped):
+    for i, (up, down) in enumerate(zip(chain(islice(x, 1 - e, None), (0,)), chain((0,) * e, x))):
+        c = (2 * i + 2 - e) * up + 2 * i * down
         q, rem = divmod(c, n)
         if rem:
             raise InternalInconsistencyError(f"coefficient {c} of y^{2 * i + 1 - e} not divisible by {n}")

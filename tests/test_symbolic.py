@@ -38,7 +38,6 @@ from tanpoly.symbolic import (
     _dz_rows,
     _dz_step,
     _hoffman_rows,
-    _hoffman_step,
     _stride_poly,
     apply_dz,
     diff,
@@ -504,12 +503,13 @@ class TestHoffmanFamilies:
             prev = p
 
     def test_large_n_against_the_plain_step(self):
-        # _hoffman_step, iterated from y and from 1, steps the unscaled rows
-        p, q = ([1], 1), ([1], 0)
+        # reduced_diff, iterated from (y, 0) and from (0, 1), steps the
+        # unscaled rows; hoffman_p/hoffman_q take the per-n path
+        p, q = ReducedPair(YPoly.y(), YPoly.zero()), ReducedPair(YPoly.zero(), YPoly.one())
         for _ in range(1000):
-            p, q = (_hoffman_step(p[0], p[1], 0), 1 - p[1]), (_hoffman_step(q[0], q[1], 1), 1 - q[1])
-        assert hoffman_p(1000) == _stride_poly(*p)
-        assert hoffman_q(1000) == _stride_poly(*q)
+            p, q = reduced_diff(p), reduced_diff(q)
+        assert (hoffman_p(1000), YPoly.zero()) == p
+        assert (YPoly.zero(), hoffman_q(1000)) == q
 
     @pytest.mark.parametrize("n", range(21))
     def test_reduction_of_plain_derivatives(self, n):
@@ -559,7 +559,7 @@ class TestRTFamilies:
                 fn(0)
 
     def test_both_routes_agree(self):
-        for n in (*range(1, 16), 40):
+        for n in (*range(1, 16), 40, 600):
             assert r_poly_closed(n) == r_poly_dz(n)
             assert t_poly_closed(n) == t_poly_dz(n)
 
@@ -632,6 +632,24 @@ class TestRTFamilies:
         assert _dz_step([1, 2], 0, 2) == [3, 7, 4]
         with pytest.raises(InternalInconsistencyError, match="coefficient 6 of y\\^1 not divisible by 4"):
             _dz_step([1, 2], 0, 4)
+
+    @given(st.lists(st.integers(), min_size=1, max_size=12), st.sampled_from([0, 1]), st.integers(1, 9))
+    @settings(max_examples=300)
+    def test_step_is_apply_dz_on_any_row(self, row, e, n):
+        # Lifted to the z part (e = 0) or z-free (e = 1), any row, not only a
+        # member's, steps by apply_dz and reduce_z to the other part.
+        lift = YZPoly({(2 * i + e, 1 - e): c for i, c in enumerate(row)})
+        stepped = _dz_step(row, e, 1)
+        part = _stride_poly(stepped, 1 - e)
+        want = ReducedPair(part, YPoly.zero()) if e == 0 else ReducedPair(YPoly.zero(), part)
+        assert reduce_z(apply_dz(lift)) == want
+        # The division by n is exact or raises: n times the row divides back.
+        assert _dz_step([n * c for c in row], e, n) == stepped
+        if all(c % n == 0 for c in stepped):
+            assert _dz_step(row, e, n) == [c // n for c in stepped]
+        else:
+            with pytest.raises(InternalInconsistencyError, match=f"not divisible by {n}$"):
+                _dz_step(row, e, n)
 
     def test_one_selector_per_pair(self):
         # s = 0 picks the first family of a pair (R, P) and s = 1 the second (T, Q)

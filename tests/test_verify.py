@@ -541,7 +541,7 @@ class TestLinearWork:
     def calls(self, monkeypatch):
         # symbolic steps the sequences; verify steps the plain diff route of hoffman.
         calls = Counter()
-        names = ("diff", "apply_dz", "reduce_z", "_hoffman_step", "_scaled_step", "_dz_step")
+        names = ("diff", "apply_dz", "reduce_z", "_scaled_step", "_dz_step")
         spied = [(symbolic, name) for name in names]
         for module, name in (*spied, (verify, "diff")):
             real = getattr(module, name)
@@ -568,10 +568,10 @@ class TestLinearWork:
 
     @pytest.mark.parametrize("m", [7, 30])
     def test_theorem2(self, calls, m):
-        # Each _dz_step takes one _hoffman_step; no iterate is reduced, and no
-        # P/Q row is stepped.
+        # Each member past the first takes one _dz_step; no iterate is reduced,
+        # and no P/Q row is stepped.
         assert verify.verify_closed_forms(m).passed
-        assert calls == {"_dz_step": 2 * (m - 1), "_hoffman_step": 2 * (m - 1)}
+        assert calls == {"_dz_step": 2 * (m - 1)}
 
     @pytest.fixture
     def tilde_draws(self, monkeypatch):
@@ -721,7 +721,7 @@ class TestPerNCall:
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = Counter()
-        names = ("reduce_z", "apply_dz", "_dz_step", "_hoffman_step", "_scaled_step", "_unscale", "_stride_poly")
+        names = ("reduce_z", "apply_dz", "_dz_step", "_scaled_step", "_unscale", "_stride_poly")
         for name in names:
 
             def counted(*args, name=name, real=getattr(symbolic, name)):
@@ -735,7 +735,7 @@ class TestPerNCall:
     @pytest.mark.parametrize("m", [7, 30])
     def test_per_n_call(self, calls, fn, m):
         fn(m)
-        assert calls == {"_dz_step": m - 1, "_hoffman_step": m - 1, "_stride_poly": 1}
+        assert calls == {"_dz_step": m - 1, "_stride_poly": 1}
 
     @pytest.mark.parametrize("fn, s", [(symbolic.hoffman_p, 0), (symbolic.hoffman_q, 1)], ids=["P", "Q"])
     @pytest.mark.parametrize("m", [7, 30])
